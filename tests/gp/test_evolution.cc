@@ -268,23 +268,43 @@ TEST(Evolution, AbandonedBatchRecyclesSlotsInReleaseBuilds)
 }
 
 /**
- * Golden: the first 64 tests emitted for seed 2026 with 4 islands,
- * batch 8, migration every 32 evaluations (Selective mode, population
- * 8 per island, 64-gene tests over 4 threads and 1KB test memory).
- * Pins the engine's full decision sequence -- per-island RNG streams,
- * round-robin island schedule, selection, crossover and mutation -- to
- * a fixed artifact. After an intentional engine change, regenerate by
- * running this binary with MCVERSI_UPDATE_GOLDEN=1 (rewrites
- * evolution_golden_fingerprints.inc in the source tree) and rebuilding.
+ * Golden: the first 64 tests emitted for seed 2026 by each of three
+ * engine configurations, concatenated in this order:
+ *  - 4 islands, batch 8, migration every 32 evaluations, Selective;
+ *  - 1 island, batch 1, Selective (the serial steady-state GA);
+ *  - 1 island, batch 1, SinglePoint (McVerSi-Std.XO's serial GA).
+ * All use population 8 per island and 64-gene tests over 4 threads and
+ * 1KB test memory. Pins the engine's full decision sequence --
+ * per-island RNG streams, round-robin island schedule, selection,
+ * crossover and mutation -- to a fixed artifact. After an intentional
+ * engine change, regenerate by running this binary with
+ * MCVERSI_UPDATE_GOLDEN=1 (rewrites evolution_golden_fingerprints.inc
+ * in the source tree) and rebuilding.
  */
 TEST(Evolution, GoldenFirst64EmittedTests)
 {
-    EvolutionParams evo;
-    evo.islands = 4;
-    evo.migrationInterval = 32;
-    EvolutionEngine engine(smallGa(), smallGen(), 2026,
-                           XoMode::Selective, evo);
-    const std::vector<std::uint64_t> got = drive(engine, 64, 8);
+    struct Config
+    {
+        std::size_t islands;
+        std::size_t batch;
+        XoMode mode;
+    };
+    const std::array<Config, 3> configs = {{
+        {4, 8, XoMode::Selective},
+        {1, 1, XoMode::Selective},
+        {1, 1, XoMode::SinglePoint},
+    }};
+    std::vector<std::uint64_t> got;
+    for (const Config &config : configs) {
+        EvolutionParams evo;
+        evo.islands = config.islands;
+        evo.migrationInterval = 32;
+        EvolutionEngine engine(smallGa(), smallGen(), 2026, config.mode,
+                               evo);
+        const std::vector<std::uint64_t> emitted =
+            drive(engine, 64, config.batch);
+        got.insert(got.end(), emitted.begin(), emitted.end());
+    }
 
     if (std::getenv("MCVERSI_UPDATE_GOLDEN") != nullptr) {
         std::ofstream out(MCVERSI_EVOLUTION_GOLDEN_PATH,
@@ -300,10 +320,12 @@ TEST(Evolution, GoldenFirst64EmittedTests)
                      << "; rebuild to compile it in";
     }
 
-    const std::array<std::uint64_t, 64> expected = {
+    const std::array<std::uint64_t, 3 * 64> expected = {
 #include "evolution_golden_fingerprints.inc"
     };
     ASSERT_EQ(got.size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i)
-        EXPECT_EQ(got[i], expected[i]) << "emitted test " << i;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(got[i], expected[i])
+            << "config " << i / 64 << ", emitted test " << i % 64;
+    }
 }
