@@ -1,7 +1,8 @@
 /**
  * @file
- * Generation-engine throughput bench: serial steady-state GA vs the
- * batched island-model EvolutionEngine.
+ * Generation-engine throughput bench: the serial steady-state GA
+ * (one island, batch of one) vs the batched island-model
+ * EvolutionEngine.
  *
  * Two measurements over the same seed set:
  *
@@ -13,11 +14,11 @@
  *    records hardwareConcurrency so a 1-core container's ~1x is
  *    interpretable.
  *
- *  - Generation only: nextTest()/reportResult() on the SteadyStateGa
- *    vs nextBatch()/reportBatch() on the EvolutionEngine with a
- *    synthetic fitness (no simulation), isolating the slab genome pool
- *    and batch amortization from simulator cost. Single-threaded on
- *    both sides, so this speedup is core-count independent.
+ *  - Generation only: the EvolutionEngine with one island and batches
+ *    of one vs islands x batch, with a synthetic fitness (no
+ *    simulation), isolating batch amortization from simulator cost.
+ *    Single-threaded on both sides, so this speedup is core-count
+ *    independent.
  *
  * Also re-runs one batched campaign with eval-threads 1 and N and
  * byte-compares the timing-free summaries (the determinism contract).
@@ -178,14 +179,17 @@ genOnlySerial(std::uint64_t evals)
     gp::GenParams gen;
     gen.testSize = 128;
     gen.memSize = 1024;
-    gp::SteadyStateGa ga(benchGa(), gen, 1);
+    // One island, one test per batch: the paper's serial GA.
+    gp::EvolutionEngine engine(benchGa(), gen, 1);
+    gp::EvolutionEngine::TestRef ref;
+    gp::EvalResult result;
     const auto t0 = std::chrono::steady_clock::now();
     for (std::uint64_t i = 0; i < evals; ++i) {
-        const gp::Test test = ga.nextTest();
-        gp::NdInfo nd;
-        nd.ndt = 1.0;
-        ga.reportResult(pseudoFitness(test.fingerprint()),
-                        std::move(nd));
+        engine.nextBatch({&ref, 1});
+        result.fitness =
+            pseudoFitness(gp::fingerprintNodes(engine.genome(ref)));
+        result.nd = gp::NdInfo{1.0, {}};
+        engine.reportBatch({&result, 1});
     }
     const double seconds = std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - t0)

@@ -1,12 +1,27 @@
 #include "gp/evolution.hh"
 
 #include <algorithm>
+#include <cassert>
 #include <string>
 
 #include "common/strict.hh"
-#include "gp/selection.hh"
 
 namespace mcversi::gp {
+
+namespace {
+
+/** The member with the smallest birth stamp (delete-oldest victim). */
+std::vector<PoolIndividual>::iterator
+oldestMember(std::vector<PoolIndividual> &population)
+{
+    return std::min_element(population.begin(), population.end(),
+                            [](const PoolIndividual &a,
+                               const PoolIndividual &b) {
+                                return a.bornAt < b.bornAt;
+                            });
+}
+
+} // namespace
 
 EvolutionEngine::EvolutionEngine(GaParams ga, GenParams gen,
                                  std::uint64_t seed, XoMode mode,
@@ -21,8 +36,7 @@ EvolutionEngine::EvolutionEngine(GaParams ga, GenParams gen,
         evo_.islands = 1;
     islands_.resize(evo_.islands);
     for (std::size_t i = 0; i < islands_.size(); ++i) {
-        // Counter-based per-island streams: stream 0 is the base seed,
-        // so a single island reproduces SteadyStateGa(seed) exactly.
+        // Counter-based per-island streams; stream 0 is the base seed.
         islands_[i].rng = Rng(Rng::streamSeed(seed, i));
         islands_[i].pop.reserve(ga_.population);
     }
@@ -31,8 +45,17 @@ EvolutionEngine::EvolutionEngine(GaParams ga, GenParams gen,
 std::size_t
 EvolutionEngine::tournamentSelect(Island &island)
 {
-    return gp::tournamentSelect(island.pop, ga_.tournamentSize,
-                                island.rng);
+    // Draws exactly tournamentSize times; ties keep the first sampled.
+    assert(!island.pop.empty());
+    std::size_t best =
+        static_cast<std::size_t>(island.rng.below(island.pop.size()));
+    for (int i = 1; i < ga_.tournamentSize; ++i) {
+        const std::size_t cand = static_cast<std::size_t>(
+            island.rng.below(island.pop.size()));
+        if (island.pop[cand].fitness > island.pop[best].fitness)
+            best = cand;
+    }
+    return best;
 }
 
 void

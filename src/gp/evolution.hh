@@ -1,19 +1,26 @@
 /**
  * @file
- * Island-model evolution engine with a batched generate→evaluate API.
+ * Steady-state genetic algorithm (§5.2.1), island model with a batched
+ * generate->evaluate API.
  *
- * The serial SteadyStateGa's one-at-a-time nextTest()/reportResult()
- * contract forbids any intra-campaign parallelism: selection cannot run
- * ahead of evaluation. The EvolutionEngine generalizes it along three
- * axes while keeping McVerSi's crossover-aware selective GP semantics
- * (§5.2.1, Algorithm 1) and byte-identical determinism:
+ * Both McVerSi-ALL and McVerSi-Std.XO use a steady-state GA with
+ * tournament selection and delete-oldest replacement (steady-state GAs
+ * outperform generational GAs in non-stationary environments, which a
+ * continuously-running simulation is). The first `population` tests of
+ * an island are random; afterwards every test is an offspring of two
+ * tournament-selected parents, produced by McVerSi's crossover-aware
+ * selective operator (Algorithm 1) or the standard single-point one.
  *
- *  - Islands: N independent steady-state populations (tournament
- *    selection, delete-oldest replacement), each drawing from its own
- *    counter-based RNG stream (Rng::streamSeed). Batch slots are dealt
- *    to islands round-robin by a monotone issue counter, so the island
- *    schedule depends only on the seed and the evaluation count --
- *    never on evaluation timing or worker threads.
+ * One island with a batch of one is the paper's serial GA: emit one
+ * test, report its result, repeat. The engine generalizes that along
+ * three axes while staying byte-deterministic:
+ *
+ *  - Islands: N independent steady-state populations, each drawing
+ *    from its own counter-based RNG stream (Rng::streamSeed; island 0
+ *    uses the base seed). Batch slots are dealt to islands round-robin
+ *    by a monotone issue counter, so the island schedule depends only
+ *    on the seed and the evaluation count -- never on evaluation
+ *    timing or worker threads.
  *
  *  - Migration: every migrationInterval evaluations (engine-wide), each
  *    island's best individual is copied to its ring successor
@@ -23,10 +30,7 @@
  *
  *  - Batching: nextBatch() emits any number of tests (selection uses
  *    the population state at batch start), reportBatch() inserts the
- *    results in slot order. A batch of one on a single island
- *    reproduces the SteadyStateGa evaluation sequence draw-for-draw:
- *    the serial engine is the degenerate configuration, not a separate
- *    code path.
+ *    results in slot order.
  *
  * Genomes live in a slab-backed GenomePool: population members, pending
  * offspring and migrants are slots in reusable arena storage instead of
@@ -60,7 +64,7 @@ namespace mcversi::gp {
 /** Engine topology knobs (the campaign's islands=/migration= keys). */
 struct EvolutionParams
 {
-    /** Independent populations; 1 degenerates to the serial GA. */
+    /** Independent populations; 1 is the paper's serial GA. */
     std::size_t islands = 1;
     /**
      * Engine-wide evaluations between ring migrations; 0 disables

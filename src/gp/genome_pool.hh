@@ -5,7 +5,7 @@
  * Every test the EvolutionEngine carries -- population members, pending
  * offspring, migration copies -- is a fixed-length gene sequence of
  * testSize Nodes. Instead of one heap-allocated std::vector<Node> per
- * individual (the SteadyStateGa representation), the pool hands out
+ * individual, the pool hands out
  * slots inside large slabs: a slot is a span into stable storage, freed
  * slots are recycled through a free list, and after the population
  * warms up the engine performs no genome allocation at all. Slabs are

@@ -42,7 +42,7 @@ struct GenParams
     }
 };
 
-/** Crossover operator variant, shared by every generation engine. */
+/** Crossover operator variant of the generation engine. */
 enum class XoMode {
     Selective,   ///< Algorithm 1 (McVerSi-ALL)
     SinglePoint, ///< standard flat-list crossover (McVerSi-Std.XO)

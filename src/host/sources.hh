@@ -29,7 +29,6 @@
 
 #include "gp/evolution.hh"
 #include "gp/fitness.hh"
-#include "gp/ga.hh"
 #include "gp/ndmetrics.hh"
 #include "gp/randgen.hh"
 #include "gp/test.hh"

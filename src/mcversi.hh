@@ -51,8 +51,8 @@
 #include "sim/system.hh"
 
 #include "gp/crossover.hh"
+#include "gp/evolution.hh"
 #include "gp/fitness.hh"
-#include "gp/ga.hh"
 #include "gp/ndmetrics.hh"
 #include "gp/ops.hh"
 #include "gp/params.hh"

@@ -1,8 +1,8 @@
 /**
  * @file
- * EvolutionEngine tests: serial-GA equivalence, island/migration
- * determinism, the emitted-test golden, batch-contract enforcement,
- * and slab-pool steady-state behavior.
+ * EvolutionEngine tests: the serial GA's selection and replacement,
+ * island/migration determinism, the emitted-test golden,
+ * batch-contract enforcement, and slab-pool steady-state behavior.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 
 #include "common/strict.hh"
 #include "gp/evolution.hh"
-#include "gp/ga.hh"
 
 using namespace mcversi;
 using namespace mcversi::gp;
@@ -87,42 +86,87 @@ drive(EvolutionEngine &engine, std::size_t evals, std::size_t batch)
 
 } // namespace
 
-TEST(Evolution, SingleIslandBatchOneMatchesSteadyStateGa)
+// The paper's serial steady-state GA is the engine's default
+// configuration: one island, one test per batch.
+
+TEST(Ga, DeleteOldestReplacement)
 {
-    for (const auto mode : {XoMode::Selective, XoMode::SinglePoint}) {
-        EvolutionParams evo;
-        evo.islands = 1;
-        EvolutionEngine engine(smallGa(), smallGen(), 2026, mode, evo);
-        SteadyStateGa ga(smallGa(), smallGen(), 2026, mode);
-
-        EvolutionEngine::TestRef ref;
-        for (int i = 0; i < 48; ++i) {
-            engine.nextBatch({&ref, 1});
-            const gp::Test serial = ga.nextTest();
-            const auto genes = engine.genome(ref);
-            ASSERT_EQ(fingerprintNodes(genes), serial.fingerprint())
-                << "evaluation " << i;
-
-            const std::uint64_t fp = serial.fingerprint();
-            EvalResult result;
-            result.fitness = pseudoFitness(fp);
-            result.nd = pseudoNd(genes);
-            ga.reportResult(pseudoFitness(fp), pseudoNd(genes));
-            engine.reportBatch({&result, 1});
-        }
-        ASSERT_EQ(engine.evaluated(), ga.evaluated());
-        EXPECT_DOUBLE_EQ(engine.meanFitness(), ga.meanFitness());
-        EXPECT_DOUBLE_EQ(engine.meanNdt(), ga.meanNdt());
-        ASSERT_EQ(engine.islandCount(), 1u);
-        const auto &pop = engine.islandPopulation(0);
-        ASSERT_EQ(pop.size(), ga.populationSize());
-        for (std::size_t i = 0; i < pop.size(); ++i) {
-            EXPECT_EQ(fingerprintNodes(engine.memberGenome(pop[i])),
-                      ga.population()[i].test.fingerprint());
-            EXPECT_EQ(pop[i].fitness, ga.population()[i].fitness);
-            EXPECT_EQ(pop[i].bornAt, ga.population()[i].bornAt);
-        }
+    EvolutionEngine engine(smallGa(), smallGen(), 2);
+    EvolutionEngine::TestRef ref;
+    std::vector<std::uint64_t> initial;
+    for (int i = 0; i < 8; ++i) {
+        engine.nextBatch({&ref, 1});
+        initial.push_back(fingerprintNodes(engine.genome(ref)));
+        EvalResult result;
+        result.fitness = 1.0;
+        engine.reportBatch({&result, 1});
     }
+    // One more evaluation must evict the oldest member (born first).
+    engine.nextBatch({&ref, 1});
+    EvalResult result;
+    engine.reportBatch({&result, 1});
+
+    const auto &pop = engine.islandPopulation(0);
+    ASSERT_EQ(pop.size(), 8u);
+    bool oldest_present = false;
+    bool second_present = false;
+    for (const PoolIndividual &member : pop) {
+        const std::uint64_t fp =
+            fingerprintNodes(engine.memberGenome(member));
+        oldest_present |= fp == initial[0];
+        second_present |= fp == initial[1];
+        EXPECT_NE(member.bornAt, 0u);
+    }
+    EXPECT_FALSE(oldest_present);
+    EXPECT_TRUE(second_present);
+}
+
+TEST(Ga, TournamentPrefersFitter)
+{
+    // Clone-only reproduction (no crossover, no mutation) makes every
+    // child an exact copy of its tournament winner. One batch selects
+    // against a fixed population in which one member out of eight is
+    // fitter: a binary tournament picks it with probability
+    // 1 - (7/8)^2 ~ 0.23, well above the uniform 1/8.
+    GaParams ga = smallGa();
+    ga.pCrossover = 0.0;
+    ga.pMut = 0.0;
+    EvolutionEngine engine(ga, smallGen(), 3);
+    EvolutionEngine::TestRef ref;
+    std::uint64_t fittest = 0;
+    for (int i = 0; i < 8; ++i) {
+        engine.nextBatch({&ref, 1});
+        EvalResult result;
+        result.fitness = i == 5 ? 100.0 : 0.0;
+        if (i == 5)
+            fittest = fingerprintNodes(engine.genome(ref));
+        engine.reportBatch({&result, 1});
+    }
+
+    std::vector<EvolutionEngine::TestRef> refs(400);
+    engine.nextBatch(refs);
+    std::size_t clones_of_fittest = 0;
+    for (const EvolutionEngine::TestRef &child : refs)
+        clones_of_fittest +=
+            fingerprintNodes(engine.genome(child)) == fittest ? 1 : 0;
+    std::vector<EvalResult> results(refs.size());
+    engine.reportBatch(results);
+    EXPECT_GT(clones_of_fittest, refs.size() / 8);
+}
+
+TEST(Ga, MeanNdtTracksReports)
+{
+    EvolutionEngine engine(smallGa(), smallGen(), 4);
+    EvolutionEngine::TestRef ref;
+    for (int i = 0; i < 8; ++i) {
+        engine.nextBatch({&ref, 1});
+        EvalResult result;
+        result.fitness = 0.1;
+        result.nd.ndt = 2.0;
+        engine.reportBatch({&result, 1});
+    }
+    EXPECT_DOUBLE_EQ(engine.meanNdt(), 2.0);
+    EXPECT_DOUBLE_EQ(engine.meanFitness(), 0.1);
 }
 
 TEST(Evolution, BatchSizeDoesNotChangeInitialPopulationPhase)

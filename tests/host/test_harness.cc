@@ -88,7 +88,7 @@ TEST(Harness, GaSourceImprovesOrMatchesAndTracksNdt)
 {
     auto params = smallParams(sim::BugId::None);
     GaSource source(smallGa(), params.gen, 3,
-                    gp::SteadyStateGa::XoMode::Selective);
+                    gp::XoMode::Selective);
     VerificationHarness harness(params, source);
     Budget budget;
     budget.maxTestRuns = 30;
@@ -105,10 +105,10 @@ TEST(Harness, SourceNames)
     gp::GenParams gen;
     RandomSource rnd(gen, 1);
     EXPECT_EQ(rnd.name(), "McVerSi-RAND");
-    GaSource all(smallGa(), gen, 1, gp::SteadyStateGa::XoMode::Selective);
+    GaSource all(smallGa(), gen, 1, gp::XoMode::Selective);
     EXPECT_EQ(all.name(), "McVerSi-ALL");
     GaSource xo(smallGa(), gen, 1,
-                gp::SteadyStateGa::XoMode::SinglePoint);
+                gp::XoMode::SinglePoint);
     EXPECT_EQ(xo.name(), "McVerSi-Std.XO");
 }
 

@@ -67,7 +67,7 @@ TEST_P(BugManifestation, FoundWithinBudget)
     gp::GaParams ga;
     ga.population = 40;
     GaSource source(ga, params.gen, 1,
-                    gp::SteadyStateGa::XoMode::Selective);
+                    gp::XoMode::Selective);
     VerificationHarness harness(params, source);
 
     Budget budget;

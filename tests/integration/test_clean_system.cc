@@ -54,7 +54,7 @@ TEST_P(CleanSystem, NoViolationUnderGaFuzzing)
     gp::GaParams ga;
     ga.population = 30;
     GaSource source(ga, params.gen, cc.seed,
-                    gp::SteadyStateGa::XoMode::Selective);
+                    gp::XoMode::Selective);
     VerificationHarness harness(params, source);
 
     Budget budget;

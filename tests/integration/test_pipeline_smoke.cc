@@ -42,7 +42,7 @@ runCampaign(sim::BugId bug, std::uint64_t max_runs)
     gp::GaParams ga;
     ga.population = 16;
     GaSource source(ga, params.gen, 11,
-                    gp::SteadyStateGa::XoMode::Selective);
+                    gp::XoMode::Selective);
     VerificationHarness harness(params, source);
 
     Budget budget;

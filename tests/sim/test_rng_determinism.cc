@@ -14,7 +14,7 @@
 
 #include "common/rng.hh"
 #include "gp/crossover.hh"
-#include "gp/ga.hh"
+#include "gp/evolution.hh"
 #include "gp/randgen.hh"
 
 using namespace mcversi;
@@ -145,48 +145,38 @@ TEST(GaDeterminism, SameSeedSamePopulationEvolution)
     ga.population = 16;
     const GenParams gen = smallGen();
 
-    for (const auto mode : {SteadyStateGa::XoMode::Selective,
-                            SteadyStateGa::XoMode::SinglePoint}) {
-        SteadyStateGa g1(ga, gen, 2026, mode);
-        SteadyStateGa g2(ga, gen, 2026, mode);
+    for (const auto mode : {XoMode::Selective, XoMode::SinglePoint}) {
+        EvolutionEngine g1(ga, gen, 2026, mode);
+        EvolutionEngine g2(ga, gen, 2026, mode);
 
         // Evolve well past the initial population so offspring
         // (tournament + crossover + mutation decisions) are covered.
+        EvolutionEngine::TestRef r1;
+        EvolutionEngine::TestRef r2;
         for (int i = 0; i < 64; ++i) {
-            const gp::Test t1 = g1.nextTest();
-            const gp::Test t2 = g2.nextTest();
+            g1.nextBatch({&r1, 1});
+            g2.nextBatch({&r2, 1});
+            const gp::Test t1(std::vector<Node>(g1.genome(r1).begin(),
+                                                g1.genome(r1).end()));
+            const gp::Test t2(std::vector<Node>(g2.genome(r2).begin(),
+                                                g2.genome(r2).end()));
             ASSERT_EQ(t1.fingerprint(), t2.fingerprint())
                 << "evaluation " << i;
-            g1.reportResult(pseudoFitness(t1), pseudoNd(t1));
-            g2.reportResult(pseudoFitness(t2), pseudoNd(t2));
+            EvalResult e1{pseudoFitness(t1), pseudoNd(t1)};
+            EvalResult e2{pseudoFitness(t2), pseudoNd(t2)};
+            g1.reportBatch({&e1, 1});
+            g2.reportBatch({&e2, 1});
         }
 
-        ASSERT_EQ(g1.populationSize(), g2.populationSize());
-        for (std::size_t i = 0; i < g1.populationSize(); ++i) {
-            const Individual &i1 = g1.population()[i];
-            const Individual &i2 = g2.population()[i];
-            EXPECT_EQ(i1.test.fingerprint(), i2.test.fingerprint());
-            EXPECT_EQ(i1.fitness, i2.fitness);
-            EXPECT_EQ(i1.bornAt, i2.bornAt);
+        const auto &p1 = g1.islandPopulation(0);
+        const auto &p2 = g2.islandPopulation(0);
+        ASSERT_EQ(p1.size(), p2.size());
+        for (std::size_t i = 0; i < p1.size(); ++i) {
+            EXPECT_EQ(fingerprintNodes(g1.memberGenome(p1[i])),
+                      fingerprintNodes(g2.memberGenome(p2[i])));
+            EXPECT_EQ(p1[i].fitness, p2[i].fitness);
+            EXPECT_EQ(p1[i].bornAt, p2[i].bornAt);
         }
         EXPECT_EQ(g1.meanFitness(), g2.meanFitness());
     }
-}
-
-TEST(GaDeterminism, DifferentSeedsDiverge)
-{
-    GaParams ga;
-    ga.population = 8;
-    const GenParams gen = smallGen();
-    SteadyStateGa g1(ga, gen, 1);
-    SteadyStateGa g2(ga, gen, 2);
-    bool diverged = false;
-    for (int i = 0; i < 8; ++i) {
-        const gp::Test t1 = g1.nextTest();
-        const gp::Test t2 = g2.nextTest();
-        diverged |= t1.fingerprint() != t2.fingerprint();
-        g1.reportResult(pseudoFitness(t1), pseudoNd(t1));
-        g2.reportResult(pseudoFitness(t2), pseudoNd(t2));
-    }
-    EXPECT_TRUE(diverged);
 }
