@@ -1,7 +1,5 @@
 #include "host/harness.hh"
 
-#include <chrono>
-
 namespace mcversi::host {
 
 TestMemLayout
@@ -10,59 +8,101 @@ layoutFor(const gp::GenParams &gen)
     return TestMemLayout(gen.memSize, gen.stride);
 }
 
+Rig::Rig(const HarnessParams &params, std::uint64_t stream)
+{
+    sim::SystemConfig config = params.system;
+    config.seed = Rng::streamSeed(config.seed, stream);
+    system = std::make_unique<sim::System>(config);
+    checker = std::make_unique<mc::Checker>(mc::makeModel(params.model));
+    if (params.checkCacheEntries > 0)
+        checker->enableVerdictCache({.capacity = params.checkCacheEntries});
+    workload = std::make_unique<Workload>(
+        *system, *checker, layoutFor(params.gen), params.workload);
+}
+
+void
+Rig::addCacheStats(HarnessResult &result) const
+{
+    if (const mc::VerdictCache *cache = checker->verdictCache()) {
+        result.checkCacheHits += cache->stats().hits;
+        result.checkCacheMisses += cache->stats().misses;
+        result.distinctInterleavings += cache->stats().distinct;
+    }
+}
+
+RunTally::RunTally(const Budget &budget)
+    : budget_(budget), start_(std::chrono::steady_clock::now())
+{
+}
+
+double
+RunTally::elapsed() const
+{
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now() - start_)
+        .count();
+}
+
+bool
+RunTally::exhausted() const
+{
+    return budget_.isInterrupted() ||
+           (budget_.maxTestRuns > 0 &&
+            result_.testRuns >= budget_.maxTestRuns) ||
+           (budget_.maxWallSeconds > 0.0 &&
+            elapsed() >= budget_.maxWallSeconds);
+}
+
+void
+RunTally::add(const RunResult &run, bool record_ndt,
+              const std::string &label)
+{
+    ++result_.testRuns;
+    result_.checkSeconds += run.checkSeconds;
+    result_.simTicks += run.simTicks;
+    result_.eventsExecuted += run.eventsExecuted;
+    result_.simEvents += run.simEvents;
+    result_.messagesSent += run.messagesSent;
+    if (record_ndt)
+        result_.ndtHistory.push_back(run.nd.ndt);
+    if (run.bugDetected() && !result_.bugFound) {
+        result_.bugFound = true;
+        result_.detail =
+            label.empty() ? run.describe() : label + ": " + run.describe();
+        result_.testRunsToBug = result_.testRuns;
+        result_.eventsUntilDetection = run.eventsUntilDetection;
+        result_.wallSecondsToBug = elapsed();
+    }
+}
+
+HarnessResult
+RunTally::finish()
+{
+    result_.wallSeconds = elapsed();
+    return std::move(result_);
+}
+
 VerificationHarness::VerificationHarness(Params params,
                                          TestSource &source)
-    : params_(params), source_(source), fitness_(params.fitness)
+    : params_(std::move(params)), source_(source), rig_(params_),
+      fitness_(params_.fitness)
 {
-    system_ = std::make_unique<sim::System>(params_.system);
-    checker_ = std::make_unique<mc::Checker>(mc::makeModel(params_.model));
-    if (params_.checkCacheEntries > 0) {
-        checker_->enableVerdictCache(
-            {.capacity = params_.checkCacheEntries});
-    }
-    workload_ = std::make_unique<Workload>(*system_, *checker_,
-                                           layoutFor(params_.gen),
-                                           params_.workload);
 }
 
 RunResult
 VerificationHarness::runOne(const gp::Test &test,
                             const ConditionFn &condition)
 {
-    return workload_->runTest(test, condition);
+    return rig_.workload->runTest(test, condition);
 }
 
 HarnessResult
 VerificationHarness::run(const Budget &budget)
 {
-    const auto t0 = std::chrono::steady_clock::now();
-    auto elapsed = [&t0]() {
-        return std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - t0)
-            .count();
-    };
-
-    HarnessResult result;
-    for (;;) {
-        if (budget.isInterrupted())
-            break;
-        if (budget.maxTestRuns > 0 && result.testRuns >= budget.maxTestRuns)
-            break;
-        if (budget.maxWallSeconds > 0.0 &&
-            elapsed() >= budget.maxWallSeconds) {
-            break;
-        }
-
-        gp::Test test = source_.next();
-        RunResult run = workload_->runTest(test);
-        ++result.testRuns;
-        result.checkSeconds += run.checkSeconds;
-        result.simTicks += run.simTicks;
-        result.eventsExecuted += run.eventsExecuted;
-        result.simEvents += run.simEvents;
-        result.messagesSent += run.messagesSent;
-        if (params_.recordNdt)
-            result.ndtHistory.push_back(run.nd.ndt);
+    RunTally tally(budget);
+    while (!tally.exhausted()) {
+        const gp::Test test = source_.next();
+        const RunResult run = rig_.workload->runTest(test);
 
         RunFeedback feedback;
         feedback.coverageFitness =
@@ -71,23 +111,14 @@ VerificationHarness::run(const Budget &budget)
         feedback.nd = run.nd;
         source_.report(feedback);
 
-        if (run.bugDetected()) {
-            result.bugFound = true;
-            result.detail = run.describe();
-            result.testRunsToBug = result.testRuns;
-            result.eventsUntilDetection = run.eventsUntilDetection;
-            result.wallSecondsToBug = elapsed();
+        tally.add(run, params_.recordNdt);
+        if (run.bugDetected())
             break;
-        }
     }
-    result.wallSeconds = elapsed();
-    result.totalCoverage = system_->coverage().totalCoverage();
+    HarnessResult result = tally.finish();
+    result.totalCoverage = rig_.system->coverage().totalCoverage();
     result.meanFitness = source_.meanFitness();
-    if (const mc::VerdictCache *cache = checker_->verdictCache()) {
-        result.checkCacheHits = cache->stats().hits;
-        result.checkCacheMisses = cache->stats().misses;
-        result.distinctInterleavings = cache->stats().distinct;
-    }
+    rig_.addCacheStats(result);
     return result;
 }
 

@@ -7,11 +7,16 @@
  * is found or the budget (test-runs and/or wall-clock) is exhausted.
  * The simulation runs continuously, loading tests on-the-fly; coverage
  * counters, write-value IDs and RNG streams all persist across tests.
+ *
+ * Every harness -- this serial one, each ParallelHarness lane and the
+ * litmus runner -- runs on a Rig built from HarnessParams, and every
+ * run loop keeps its books with one RunTally.
  */
 
 #ifndef MCVERSI_HOST_HARNESS_HH
 #define MCVERSI_HOST_HARNESS_HH
 
+#include <chrono>
 #include <functional>
 #include <memory>
 #include <string>
@@ -118,31 +123,93 @@ struct HarnessResult
     static constexpr std::size_t kMaxTrajectorySamples = 512;
 };
 
+/** Configuration of one simulation rig and the harness driving it. */
+struct HarnessParams
+{
+    sim::SystemConfig system{};
+    /** Test-memory geometry (memSize/stride drive the layout). */
+    gp::GenParams gen{};
+    Workload::Params workload{};
+    gp::AdaptiveCoverageFitness::Params fitness{};
+    /**
+     * Registered consistency model the checker verifies executions
+     * against (memconsistency/models/registry.hh).
+     */
+    std::string model = "tso";
+    /** Record per-run NDT history (costs memory on long runs). */
+    bool recordNdt = true;
+    /**
+     * Verdict-cache capacity in entries (collective checking);
+     * 0 disables memoization. Parallel harnesses size one cache
+     * per lane with this many entries.
+     */
+    std::size_t checkCacheEntries = 4096;
+};
+
+/**
+ * One continuously-running simulated system with its checker (plus
+ * the optional verdict cache) and the workload kernel that drives it:
+ * what every harness runs its tests on.
+ */
+struct Rig
+{
+    /**
+     * Build a rig from @p params. The system seeds from
+     * Rng::streamSeed(params.system.seed, stream); stream 0 keeps the
+     * base seed.
+     */
+    explicit Rig(const HarnessParams &params, std::uint64_t stream = 0);
+
+    /** Add this rig's verdict-cache counters to @p result. */
+    void addCacheStats(HarnessResult &result) const;
+
+    std::unique_ptr<sim::System> system;
+    std::unique_ptr<mc::Checker> checker;
+    std::unique_ptr<Workload> workload;
+};
+
+/**
+ * The bookkeeping every run loop shares: its wall clock, the budget
+ * stop test, and the fold of each RunResult into the HarnessResult.
+ */
+class RunTally
+{
+  public:
+    explicit RunTally(const Budget &budget);
+
+    /** Seconds since construction. */
+    double elapsed() const;
+
+    /**
+     * True once no further test-run may start: the run was
+     * interrupted, or its test-run or wall-clock budget is spent.
+     */
+    bool exhausted() const;
+
+    /**
+     * Fold one finished test-run into the totals. The first run that
+     * detects a bug sets the bug fields; a non-empty @p label prefixes
+     * its detail.
+     */
+    void add(const RunResult &run, bool record_ndt,
+             const std::string &label = {});
+
+    const HarnessResult &result() const { return result_; }
+
+    /** Stamp the total wall time and hand over the result. */
+    HarnessResult finish();
+
+  private:
+    const Budget &budget_;
+    std::chrono::steady_clock::time_point start_;
+    HarnessResult result_;
+};
+
 /** One verification campaign on one simulated system. */
 class VerificationHarness
 {
   public:
-    struct Params
-    {
-        sim::SystemConfig system{};
-        /** Test-memory geometry (memSize/stride drive the layout). */
-        gp::GenParams gen{};
-        Workload::Params workload{};
-        gp::AdaptiveCoverageFitness::Params fitness{};
-        /**
-         * Registered consistency model the checker verifies executions
-         * against (memconsistency/models/registry.hh).
-         */
-        std::string model = "tso";
-        /** Record per-run NDT history (costs memory on long runs). */
-        bool recordNdt = true;
-        /**
-         * Verdict-cache capacity in entries (collective checking);
-         * 0 disables memoization. Parallel harnesses size one cache
-         * per lane with this many entries.
-         */
-        std::size_t checkCacheEntries = 4096;
-    };
+    using Params = HarnessParams;
 
     VerificationHarness(Params params, TestSource &source);
 
@@ -153,17 +220,15 @@ class VerificationHarness
     RunResult runOne(const gp::Test &test,
                      const ConditionFn &condition = nullptr);
 
-    sim::System &system() { return *system_; }
-    Workload &workload() { return *workload_; }
-    mc::Checker &checker() { return *checker_; }
+    sim::System &system() { return *rig_.system; }
+    Workload &workload() { return *rig_.workload; }
+    mc::Checker &checker() { return *rig_.checker; }
     gp::AdaptiveCoverageFitness &fitness() { return fitness_; }
 
   private:
     Params params_;
     TestSource &source_;
-    std::unique_ptr<sim::System> system_;
-    std::unique_ptr<mc::Checker> checker_;
-    std::unique_ptr<Workload> workload_;
+    Rig rig_;
     gp::AdaptiveCoverageFitness fitness_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <functional>
 #include <mutex>
@@ -107,74 +106,40 @@ ParallelHarness::ParallelHarness(Params params, TestSource &source)
         "ParallelHarness: lanes does not match the source's island "
         "count; island lane-affinity would be silently broken");
 
+    // Counter-based per-lane sim streams; lane 0 keeps the base seed,
+    // so a single lane reproduces the serial harness exactly. Each lane
+    // gets its own verdict cache (a Checker is single-threaded), so the
+    // summed cache telemetry is worker-count-invariant.
     lanes_.reserve(params_.lanes);
-    for (std::size_t l = 0; l < params_.lanes; ++l) {
-        auto lane = std::make_unique<Lane>();
-        sim::SystemConfig config = params_.harness.system;
-        // Counter-based per-lane sim streams; lane 0 keeps the base
-        // seed, so a single lane reproduces the serial harness exactly.
-        config.seed = Rng::streamSeed(config.seed, l);
-        lane->system = std::make_unique<sim::System>(config);
-        lane->checker =
-            std::make_unique<mc::Checker>(mc::makeModel(params_.harness.model));
-        // One verdict cache per lane (a Checker is single-threaded);
-        // per-lane hit/distinct sequences depend only on that lane's
-        // slots, so the summed telemetry is worker-count-invariant.
-        if (params_.harness.checkCacheEntries > 0) {
-            lane->checker->enableVerdictCache(
-                {.capacity = params_.harness.checkCacheEntries});
-        }
-        lane->workload = std::make_unique<Workload>(
-            *lane->system, *lane->checker, layoutFor(params_.harness.gen),
-            params_.harness.workload);
-        lanes_.push_back(std::move(lane));
-    }
+    for (std::size_t l = 0; l < params_.lanes; ++l)
+        lanes_.emplace_back(params_.harness, l);
 
     batchTests_.resize(params_.batch);
     batchFeedback_.resize(params_.batch);
-    batchOutcome_.resize(params_.batch);
+    batchRuns_.resize(params_.batch);
     laneOfSlot_.resize(params_.batch);
 }
 
 void
 ParallelHarness::evaluateLane(std::size_t lane)
 {
-    Workload &workload = *lanes_[lane]->workload;
+    Workload &workload = *lanes_[lane].workload;
     for (std::size_t b = 0; b < batchSize_; ++b) {
         if (laneOfSlot_[b] != lane)
             continue;
-        RunResult run = workload.runTest(batchTests_[b]);
-
-        SlotOutcome &outcome = batchOutcome_[b];
-        outcome.bug = run.bugDetected();
-        outcome.detail = outcome.bug ? run.describe() : std::string();
-        outcome.eventsUntilDetection = run.eventsUntilDetection;
-        outcome.ndt = run.nd.ndt;
-        outcome.checkSeconds = run.checkSeconds;
-        outcome.simTicks = run.simTicks;
-        outcome.eventsExecuted = run.eventsExecuted;
-        outcome.simEvents = run.simEvents;
-        outcome.messagesSent = run.messagesSent;
-
+        RunResult &run = batchRuns_[b];
+        run = workload.runTest(batchTests_[b]);
         // Score against the cut-off frozen at the batch barrier (const
         // read; record() replays in slot order at the merge).
         batchFeedback_[b].coverageFitness =
             fitness_.score(run.preRunCounts, run.coveredTransitions,
                            run.newInterleavings);
-        batchFeedback_[b].nd = std::move(run.nd);
     }
 }
 
 HarnessResult
 ParallelHarness::run(const Budget &budget)
 {
-    const auto t0 = std::chrono::steady_clock::now();
-    auto elapsed = [&t0]() {
-        return std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - t0)
-            .count();
-    };
-
     std::size_t workers = params_.threads > 0
         ? static_cast<std::size_t>(params_.threads)
         : std::max(1u, std::thread::hardware_concurrency());
@@ -196,21 +161,13 @@ ParallelHarness::run(const Budget &budget)
     if (workers > 1)
         pool = std::make_unique<BarrierPool>(workers, job);
 
-    HarnessResult result;
-    for (;;) {
-        if (budget.isInterrupted())
-            break;
-        if (budget.maxTestRuns > 0 && result.testRuns >= budget.maxTestRuns)
-            break;
-        if (budget.maxWallSeconds > 0.0 &&
-            elapsed() >= budget.maxWallSeconds) {
-            break;
-        }
-
+    RunTally tally(budget);
+    std::vector<double> trajectory;
+    while (!tally.exhausted()) {
         batchSize_ = params_.batch;
         if (budget.maxTestRuns > 0) {
             batchSize_ = std::min<std::size_t>(
-                batchSize_, budget.maxTestRuns - result.testRuns);
+                batchSize_, budget.maxTestRuns - tally.result().testRuns);
         }
 
         source_.nextBatch({batchTests_.data(), batchSize_});
@@ -234,23 +191,9 @@ ParallelHarness::run(const Budget &budget)
         // count. The whole batch is merged even when it contains a bug
         // (batch semantics); the stop points at the earliest bug slot.
         for (std::size_t b = 0; b < batchSize_; ++b) {
-            const SlotOutcome &outcome = batchOutcome_[b];
-            ++result.testRuns;
-            result.checkSeconds += outcome.checkSeconds;
-            result.simTicks += outcome.simTicks;
-            result.eventsExecuted += outcome.eventsExecuted;
-            result.simEvents += outcome.simEvents;
-            result.messagesSent += outcome.messagesSent;
-            if (params_.harness.recordNdt)
-                result.ndtHistory.push_back(outcome.ndt);
+            tally.add(batchRuns_[b], params_.harness.recordNdt);
             fitness_.record(batchFeedback_[b].coverageFitness);
-            if (outcome.bug && !result.bugFound) {
-                result.bugFound = true;
-                result.detail = outcome.detail;
-                result.testRunsToBug = result.testRuns;
-                result.eventsUntilDetection = outcome.eventsUntilDetection;
-                result.wallSecondsToBug = elapsed();
-            }
+            batchFeedback_[b].nd = std::move(batchRuns_[b].nd);
         }
 
         // The source sees the full batch's feedback (as the serial
@@ -258,32 +201,27 @@ ParallelHarness::run(const Budget &budget)
         source_.reportBatch({batchFeedback_.data(), batchSize_});
 
         if (source_.hasFitnessMetrics() &&
-            result.fitnessTrajectory.size() <
-                HarnessResult::kMaxTrajectorySamples) {
-            result.fitnessTrajectory.push_back(source_.meanFitness());
+            trajectory.size() < HarnessResult::kMaxTrajectorySamples) {
+            trajectory.push_back(source_.meanFitness());
         }
 
-        if (result.bugFound)
+        if (tally.result().bugFound)
             break;
     }
 
-    result.wallSeconds = elapsed();
+    HarnessResult result = tally.finish();
+    result.fitnessTrajectory = std::move(trajectory);
     result.totalCoverage = aggregateCoverage();
     result.meanFitness = source_.meanFitness();
-    for (const auto &lane : lanes_) {
-        if (const mc::VerdictCache *cache = lane->checker->verdictCache()) {
-            result.checkCacheHits += cache->stats().hits;
-            result.checkCacheMisses += cache->stats().misses;
-            result.distinctInterleavings += cache->stats().distinct;
-        }
-    }
+    for (const Rig &lane : lanes_)
+        lane.addCacheStats(result);
     return result;
 }
 
 double
 ParallelHarness::aggregateCoverage(const std::string &prefix) const
 {
-    const sim::TransitionCoverage &first = lanes_[0]->system->coverage();
+    const sim::TransitionCoverage &first = lanes_[0].system->coverage();
     const std::size_t n = first.numTransitions();
     std::size_t total = 0;
     std::size_t hit = 0;
@@ -292,7 +230,7 @@ ParallelHarness::aggregateCoverage(const std::string &prefix) const
             continue;
         ++total;
         for (const auto &lane : lanes_) {
-            const auto &counts = lane->system->coverage().counts();
+            const auto &counts = lane.system->coverage().counts();
             if (id < counts.size() && counts[id] > 0) {
                 ++hit;
                 break;

@@ -7,8 +7,8 @@
  * across worker threads while staying byte-deterministic for any worker
  * count:
  *
- *  - Lanes: L independent simulation shards (System + Checker +
- *    Workload), one per engine island. Batch slot b of batch n is
+ *  - Lanes: L independent simulation shards (one Rig each: System +
+ *    Checker + Workload), one per engine island. Batch slot b of batch n is
  *    always evaluated on lane (issued + b) % L, the same round-robin
  *    deal the EvolutionEngine uses for islands -- an island's tests
  *    always execute on the same lane's continuously-running system, so
@@ -77,7 +77,7 @@ class ParallelHarness
     std::size_t lanes() const { return lanes_.size(); }
     sim::System &laneSystem(std::size_t lane)
     {
-        return *lanes_[lane]->system;
+        return *lanes_[lane].system;
     }
     gp::AdaptiveCoverageFitness &fitness() { return fitness_; }
 
@@ -90,40 +90,19 @@ class ParallelHarness
     double aggregateCoverage(const std::string &prefix = "") const;
 
   private:
-    struct Lane
-    {
-        std::unique_ptr<sim::System> system;
-        std::unique_ptr<mc::Checker> checker;
-        std::unique_ptr<Workload> workload;
-    };
-
-    /** Deterministic per-slot evaluation record, merged at barriers. */
-    struct SlotOutcome
-    {
-        bool bug = false;
-        std::string detail;
-        /** Streaming-mode detection latency of a bug slot (events). */
-        std::uint64_t eventsUntilDetection = 0;
-        double ndt = 0.0;
-        double checkSeconds = 0.0;
-        std::uint64_t simTicks = 0;
-        std::uint64_t eventsExecuted = 0;
-        std::uint64_t simEvents = 0;
-        std::uint64_t messagesSent = 0;
-    };
-
     /** Evaluate every slot of lane @p lane for the current batch. */
     void evaluateLane(std::size_t lane);
 
     Params params_;
     TestSource &source_;
-    std::vector<std::unique_ptr<Lane>> lanes_;
+    /** One rig per lane; lane l's system seeds from stream l. */
+    std::vector<Rig> lanes_;
     gp::AdaptiveCoverageFitness fitness_;
 
     /** Batch state (slot-indexed, reused across batches). */
     std::vector<gp::Test> batchTests_;
     std::vector<RunFeedback> batchFeedback_;
-    std::vector<SlotOutcome> batchOutcome_;
+    std::vector<RunResult> batchRuns_;
     std::vector<std::uint32_t> laneOfSlot_;
     std::size_t batchSize_ = 0;
     /** Monotone issue counter aligning slots with engine islands. */

@@ -1,90 +1,78 @@
 #include "litmus/runner.hh"
 
-#include <chrono>
+#include <algorithm>
 
 namespace mcversi::litmus {
 
-LitmusRunner::LitmusRunner(Params params, std::vector<LitmusTest> suite)
-    : params_(params)
+namespace {
+
+/** Unroll every test into its array form (diy -s semantics). */
+std::vector<LitmusTest>
+unrollSuite(const std::vector<LitmusTest> &suite,
+            const LitmusRunner::Params &params)
 {
-    system_ = std::make_unique<sim::System>(params_.system);
-    checker_ = std::make_unique<mc::Checker>(mc::makeModel(params_.model));
-
-    // Unroll every test into its array form (diy -s semantics).
-    Addr max_addrs = 1;
-    suite_.reserve(suite.size());
+    std::vector<LitmusTest> unrolled;
+    unrolled.reserve(suite.size());
     for (const LitmusTest &t : suite) {
-        const Addr block =
-            static_cast<Addr>(t.numAddrs) * params_.addrStride;
-        suite_.push_back(unroll(t, params_.instances, block));
-        max_addrs = std::max(
-            max_addrs, static_cast<Addr>(suite_.back().numAddrs));
+        const Addr block = static_cast<Addr>(t.numAddrs) * params.addrStride;
+        unrolled.push_back(unroll(t, params.instances, block));
     }
-    const Addr mem_size = max_addrs * params_.addrStride;
+    return unrolled;
+}
 
-    host::Workload::Params wl;
-    wl.iterations = params_.iterationsPerRun;
-    wl.checkEveryIteration = false; // Self-checking only.
-    wl.checkMode = params_.checkMode;
-    wl.witnessWindow = params_.witnessWindow;
-    workload_ = std::make_unique<host::Workload>(
-        *system_, *checker_,
-        host::TestMemLayout(mem_size, params_.addrStride), wl);
+/**
+ * The rig of a litmus run: test memory sized for the largest unrolled
+ * test, self-checking only (no per-iteration axiomatic check) and no
+ * verdict cache, since the checker is never consulted post-hoc.
+ */
+host::HarnessParams
+rigParams(const LitmusRunner::Params &params,
+          const std::vector<LitmusTest> &suite)
+{
+    Addr max_addrs = 1;
+    for (const LitmusTest &t : suite)
+        max_addrs = std::max(max_addrs, static_cast<Addr>(t.numAddrs));
+
+    host::HarnessParams rig;
+    rig.system = params.system;
+    rig.gen.memSize = max_addrs * params.addrStride;
+    rig.gen.stride = params.addrStride;
+    rig.workload.iterations = params.iterationsPerRun;
+    rig.workload.checkEveryIteration = false;
+    rig.workload.checkMode = params.checkMode;
+    rig.workload.witnessWindow = params.witnessWindow;
+    rig.model = params.model;
+    rig.checkCacheEntries = 0;
+    return rig;
+}
+
+} // namespace
+
+LitmusRunner::LitmusRunner(Params params, std::vector<LitmusTest> suite)
+    : params_(std::move(params)), suite_(unrollSuite(suite, params_)),
+      rig_(rigParams(params_, suite_))
+{
 }
 
 host::HarnessResult
 LitmusRunner::run(const host::Budget &budget)
 {
-    const auto t0 = std::chrono::steady_clock::now();
-    auto elapsed = [&t0]() {
-        return std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - t0)
-            .count();
-    };
-
-    host::HarnessResult result;
-    if (suite_.empty()) {
-        result.wallSeconds = elapsed();
-        return result;
-    }
-
+    host::RunTally tally(budget);
     std::size_t idx = 0;
-    for (;;) {
-        if (budget.isInterrupted())
-            break;
-        if (budget.maxTestRuns > 0 &&
-            result.testRuns >= budget.maxTestRuns) {
-            break;
-        }
-        if (budget.maxWallSeconds > 0.0 &&
-            elapsed() >= budget.maxWallSeconds) {
-            break;
-        }
-
+    while (!suite_.empty() && !tally.exhausted()) {
         const LitmusTest &test = suite_[idx];
         idx = (idx + 1) % suite_.size(); // Outer loop over the suite.
 
-        host::RunResult run = workload_->runTest(
+        const host::RunResult run = rig_.workload->runTest(
             test.test, [&test](const mc::ExecWitness &ew) {
                 return evalForbidden(test, ew);
             });
-        ++result.testRuns;
-        result.simTicks += run.simTicks;
-        result.eventsExecuted += run.eventsExecuted;
-        result.simEvents += run.simEvents;
-        result.messagesSent += run.messagesSent;
-
-        if (run.bugDetected()) {
-            result.bugFound = true;
-            result.detail = test.name + ": " + run.describe();
-            result.testRunsToBug = result.testRuns;
-            result.eventsUntilDetection = run.eventsUntilDetection;
-            result.wallSecondsToBug = elapsed();
+        tally.add(run, /*record_ndt=*/false, test.name);
+        if (run.bugDetected())
             break;
-        }
     }
-    result.wallSeconds = elapsed();
-    result.totalCoverage = system_->coverage().totalCoverage();
+    host::HarnessResult result = tally.finish();
+    result.totalCoverage = rig_.system->coverage().totalCoverage();
     return result;
 }
 

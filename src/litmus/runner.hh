@@ -14,7 +14,7 @@
 #ifndef MCVERSI_LITMUS_RUNNER_HH
 #define MCVERSI_LITMUS_RUNNER_HH
 
-#include <memory>
+#include <vector>
 
 #include "host/harness.hh"
 #include "litmus/litmus.hh"
@@ -73,14 +73,13 @@ class LitmusRunner
     /** Cycle through the suite until a bug is found or budget ends. */
     host::HarnessResult run(const host::Budget &budget);
 
-    sim::System &system() { return *system_; }
+    sim::System &system() { return *rig_.system; }
 
   private:
     Params params_;
+    /** The suite in its unrolled (diy -s) form. */
     std::vector<LitmusTest> suite_;
-    std::unique_ptr<sim::System> system_;
-    std::unique_ptr<mc::Checker> checker_;
-    std::unique_ptr<host::Workload> workload_;
+    host::Rig rig_;
 };
 
 } // namespace mcversi::litmus

@@ -191,3 +191,60 @@ TEST(Harness, VerdictCacheStatsAndIdenticalOutcomes)
     EXPECT_EQ(without.distinctInterleavings, 0u);
     EXPECT_DOUBLE_EQ(without.checkCacheHitRate(), 0.0);
 }
+
+TEST(RunTally, StopsOnEachBudgetLimit)
+{
+    Budget unlimited;
+    EXPECT_FALSE(RunTally(unlimited).exhausted());
+
+    Budget interrupted;
+    interrupted.interrupted = [] { return true; };
+    EXPECT_TRUE(RunTally(interrupted).exhausted());
+
+    Budget runs;
+    runs.maxTestRuns = 2;
+    RunTally by_runs(runs);
+    by_runs.add(RunResult{}, false);
+    EXPECT_FALSE(by_runs.exhausted());
+    by_runs.add(RunResult{}, false);
+    EXPECT_TRUE(by_runs.exhausted());
+
+    Budget seconds;
+    seconds.maxWallSeconds = 1e-9;
+    const RunTally by_seconds(seconds);
+    while (by_seconds.elapsed() < seconds.maxWallSeconds) {
+    }
+    EXPECT_TRUE(by_seconds.exhausted());
+}
+
+TEST(RunTally, FoldsRunsAndKeepsTheFirstBug)
+{
+    Budget budget;
+    RunTally tally(budget);
+    RunResult clean;
+    clean.simTicks = 10;
+    clean.simEvents = 3;
+    clean.nd.ndt = 1.5;
+    RunResult first_bug;
+    first_bug.conditionHit = true;
+    first_bug.eventsUntilDetection = 7;
+    RunResult second_bug;
+    second_bug.protocolError = true;
+    second_bug.protocolErrorInfo = "later";
+
+    tally.add(clean, true);
+    tally.add(first_bug, true, "MP");
+    tally.add(second_bug, true);
+    const HarnessResult result = tally.finish();
+
+    EXPECT_EQ(result.testRuns, 3u);
+    EXPECT_EQ(result.simTicks, 10u);
+    EXPECT_EQ(result.simEvents, 3u);
+    ASSERT_EQ(result.ndtHistory.size(), 3u);
+    EXPECT_DOUBLE_EQ(result.ndtHistory[0], 1.5);
+    EXPECT_TRUE(result.bugFound);
+    EXPECT_EQ(result.testRunsToBug, 2u);
+    EXPECT_EQ(result.eventsUntilDetection, 7u);
+    EXPECT_EQ(result.detail, "MP: " + first_bug.describe());
+    EXPECT_GE(result.wallSeconds, result.wallSecondsToBug);
+}
