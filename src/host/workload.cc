@@ -253,7 +253,7 @@ Workload::runTest(const gp::Test &test, const ConditionFn &condition)
             result.violationIteration = iter;
             result.iterationsRun = iter + 1;
             break;
-        } catch (const std::runtime_error &) {
+        } catch (const sim::WatchdogAbort &) {
             // Livelock watchdog: the event cap fired (replay storms
             // can self-sustain under extreme conflict). Abandon this
             // iteration: drop all in-flight events and state; the next

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "sim/fault.hh"
 #include "sim/message.hh"
 #include "sim/network.hh"
 
@@ -146,7 +147,7 @@ EventQueue::runUntilQuiescent(std::uint64_t max_events)
         Bucket &b = buckets_[bi];
         while (b.head < b.items.size()) {
             if (++n > max_events) {
-                throw std::runtime_error(
+                throw WatchdogAbort(
                     "EventQueue: exceeded max events; likely protocol "
                     "deadlock/livelock");
             }

@@ -142,8 +142,8 @@ class EventQueue
      * Run until no events remain.
      *
      * @param max_events safety valve against runaway simulations
-     *        (deadlock/livelock in a protocol under test); exceeded
-     *        throws ProtocolError-like std::runtime_error
+     *        (deadlock/livelock in a protocol under test); exceeding
+     *        it throws WatchdogAbort (sim/fault.hh)
      * @return number of events processed
      */
     std::uint64_t runUntilQuiescent(std::uint64_t max_events = 5000000);

@@ -7,6 +7,10 @@
  * ProtocolError ("invalid transition"). Some bugs manifest this way
  * rather than as an MCM violation (e.g. MESI+PUTX-Race, §5.3), and the
  * verification harness counts a ProtocolError as a found bug.
+ *
+ * A run that never settles trips the event queue's livelock watchdog
+ * instead, raising WatchdogAbort; the workload abandons that iteration
+ * and carries on.
  */
 
 #ifndef MCVERSI_SIM_FAULT_HH
@@ -38,6 +42,13 @@ class ProtocolError : public std::runtime_error
     std::string controller_;
     std::string state_;
     std::string event_;
+};
+
+/** The event queue's livelock watchdog fired (event cap exceeded). */
+class WatchdogAbort : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
 };
 
 } // namespace mcversi::sim

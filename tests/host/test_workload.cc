@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "gp/randgen.hh"
 #include "host/harness.hh"
 #include "host/workload.hh"
-#include "gp/randgen.hh"
+#include "sim/fault.hh"
 
 using namespace mcversi;
 using namespace mcversi::host;
@@ -157,4 +160,55 @@ TEST(Workload, GuestBarrierSkewStillCorrect)
     RunResult r = f.workload->runTest(rtg.randomTest(rng));
     EXPECT_FALSE(r.bugDetected())
         << "skewed starts must not break correctness";
+}
+
+namespace {
+
+/** A self-rescheduling event: the simulation never goes quiescent. */
+void
+spinForever(void *obj, std::uint64_t, std::uint64_t, std::uint64_t,
+            std::uint64_t)
+{
+    static_cast<sim::EventQueue *>(obj)->scheduleFnIn(1, spinForever, obj);
+}
+
+void
+throwRuntimeError(void *, std::uint64_t, std::uint64_t, std::uint64_t,
+                  std::uint64_t)
+{
+    throw std::runtime_error("not a watchdog abort");
+}
+
+} // namespace
+
+TEST(Workload, WatchdogAbortAbandonsOnlyTheLivelockedIteration)
+{
+    WorkloadFixture f(sim::BugId::None, 2);
+    gp::RandomTestGen rtg(f.gen);
+    Rng rng(9);
+    sim::EventQueue &eq = f.sys->eventQueue();
+    // Pending events survive into the first iteration, which then
+    // trips the event cap; the abort clears them for the second.
+    eq.scheduleFnIn(1, spinForever, &eq);
+    const RunResult r = f.workload->runTest(rtg.randomTest(rng));
+    EXPECT_EQ(r.watchdogAborts, 1);
+    EXPECT_FALSE(r.bugDetected());
+    EXPECT_TRUE(eq.empty());
+}
+
+TEST(Workload, NonWatchdogRuntimeErrorsPropagate)
+{
+    WorkloadFixture f;
+    gp::RandomTestGen rtg(f.gen);
+    Rng rng(10);
+    sim::EventQueue &eq = f.sys->eventQueue();
+    eq.scheduleFnIn(1, throwRuntimeError, nullptr);
+    try {
+        f.workload->runTest(rtg.randomTest(rng));
+        FAIL() << "the runtime_error was swallowed";
+    } catch (const sim::WatchdogAbort &) {
+        FAIL() << "reported as a watchdog abort";
+    } catch (const std::runtime_error &err) {
+        EXPECT_STREQ(err.what(), "not a watchdog abort");
+    }
 }
