@@ -411,6 +411,12 @@ TsoccL2::handleMsg(const Msg &msg)
             return;
         }
         CacheEntry *entry = array_.find(line);
+        if (entry == nullptr && !has_data) {
+            // Not cached, not being evicted and no stale ack expected:
+            // StNP x RecallAckNoData only covers the counted stale ack.
+            throw ProtocolError("TSOCC-L2", kStateNames[StNP],
+                                msgTypeName(msg.type));
+        }
         const State st = entry ? static_cast<State>(entry->state) : StNP;
         table_.record(st, has_data ? EvRecallData : EvRecallAckNoData);
         if (has_data) {

@@ -354,3 +354,19 @@ TEST(CampaignSummary, ZeroEventCampaignsExportNullCheckCost)
     EXPECT_EQ(row.substr(start, end - start), "");
     EXPECT_EQ(csv.find("nan"), std::string::npos);
 }
+
+TEST(CampaignRunner, TsoccStrayRecallAckIsAProtocolErrorNotACrash)
+{
+    // This cell used to deliver a RecallAckNoData to a TSO-CC L2 line
+    // with no cache entry, no pending eviction and no expected stale
+    // ack, and the L2 dereferenced the missing entry.
+    CampaignSpec spec;
+    spec.bug = "TSO-CC+no-epoch-ids";
+    spec.seed = 11468845477669529434ull;
+    const CampaignResult result = CampaignRunner::runOne(spec);
+    EXPECT_EQ(result.error, "");
+    EXPECT_TRUE(result.harness.bugFound);
+    EXPECT_NE(result.harness.detail.find("RecallAckNoData"),
+              std::string::npos)
+        << result.harness.detail;
+}
