@@ -4,8 +4,10 @@
  *
  * Bugs marked real ("*" in the paper) were actual Gem5 bugs; the others
  * are artificially injected. Each bug is a single suppressed action or
- * removed transition in an otherwise-correct implementation; see
- * DESIGN.md §5 for the exact injection point of each.
+ * removed transition in an otherwise-correct implementation. The
+ * allBugs() table in bugs.cc describes each one; its injection point is
+ * the controller code that tests its BugId (LQ/SQ bugs in cpu/core.cc,
+ * the rest in the mesi/ and tsocc/ L1 and L2 controllers).
  */
 
 #ifndef MCVERSI_SIM_BUGS_HH
