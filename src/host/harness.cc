@@ -30,8 +30,9 @@ Rig::addCacheStats(HarnessResult &result) const
     }
 }
 
-RunTally::RunTally(const Budget &budget)
-    : budget_(budget), start_(std::chrono::steady_clock::now())
+RunTally::RunTally(const Budget &budget, bool record_ndt)
+    : budget_(budget), recordNdt_(record_ndt),
+      start_(std::chrono::steady_clock::now())
 {
 }
 
@@ -54,8 +55,7 @@ RunTally::exhausted() const
 }
 
 void
-RunTally::add(const RunResult &run, bool record_ndt,
-              const std::string &label)
+RunTally::add(const RunResult &run, const std::string &label)
 {
     ++result_.testRuns;
     result_.checkSeconds += run.checkSeconds;
@@ -63,7 +63,7 @@ RunTally::add(const RunResult &run, bool record_ndt,
     result_.eventsExecuted += run.eventsExecuted;
     result_.simEvents += run.simEvents;
     result_.messagesSent += run.messagesSent;
-    if (record_ndt)
+    if (recordNdt_)
         result_.ndtHistory.push_back(run.nd.ndt);
     if (run.bugDetected() && !result_.bugFound) {
         result_.bugFound = true;
@@ -99,7 +99,7 @@ VerificationHarness::runOne(const gp::Test &test,
 HarnessResult
 VerificationHarness::run(const Budget &budget)
 {
-    RunTally tally(budget);
+    RunTally tally(budget, params_.recordNdt);
     while (!tally.exhausted()) {
         const gp::Test test = source_.next();
         const RunResult run = rig_.workload->runTest(test);
@@ -111,7 +111,7 @@ VerificationHarness::run(const Budget &budget)
         feedback.nd = run.nd;
         source_.report(feedback);
 
-        tally.add(run, params_.recordNdt);
+        tally.add(run);
         if (run.bugDetected())
             break;
     }

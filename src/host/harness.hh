@@ -175,7 +175,8 @@ struct Rig
 class RunTally
 {
   public:
-    explicit RunTally(const Budget &budget);
+    /** @param record_ndt keep each run's NDT in ndtHistory */
+    RunTally(const Budget &budget, bool record_ndt);
 
     /** Seconds since construction. */
     double elapsed() const;
@@ -191,8 +192,7 @@ class RunTally
      * detects a bug sets the bug fields; a non-empty @p label prefixes
      * its detail.
      */
-    void add(const RunResult &run, bool record_ndt,
-             const std::string &label = {});
+    void add(const RunResult &run, const std::string &label = {});
 
     const HarnessResult &result() const { return result_; }
 
@@ -201,6 +201,7 @@ class RunTally
 
   private:
     const Budget &budget_;
+    const bool recordNdt_;
     std::chrono::steady_clock::time_point start_;
     HarnessResult result_;
 };

@@ -161,7 +161,7 @@ ParallelHarness::run(const Budget &budget)
     if (workers > 1)
         pool = std::make_unique<BarrierPool>(workers, job);
 
-    RunTally tally(budget);
+    RunTally tally(budget, params_.harness.recordNdt);
     std::vector<double> trajectory;
     while (!tally.exhausted()) {
         batchSize_ = params_.batch;
@@ -191,7 +191,7 @@ ParallelHarness::run(const Budget &budget)
         // count. The whole batch is merged even when it contains a bug
         // (batch semantics); the stop points at the earliest bug slot.
         for (std::size_t b = 0; b < batchSize_; ++b) {
-            tally.add(batchRuns_[b], params_.harness.recordNdt);
+            tally.add(batchRuns_[b]);
             fitness_.record(batchFeedback_[b].coverageFitness);
             batchFeedback_[b].nd = std::move(batchRuns_[b].nd);
         }

@@ -57,7 +57,7 @@ LitmusRunner::LitmusRunner(Params params, std::vector<LitmusTest> suite)
 host::HarnessResult
 LitmusRunner::run(const host::Budget &budget)
 {
-    host::RunTally tally(budget);
+    host::RunTally tally(budget, /*record_ndt=*/false);
     std::size_t idx = 0;
     while (!suite_.empty() && !tally.exhausted()) {
         const LitmusTest &test = suite_[idx];
@@ -67,7 +67,7 @@ LitmusRunner::run(const host::Budget &budget)
             test.test, [&test](const mc::ExecWitness &ew) {
                 return evalForbidden(test, ew);
             });
-        tally.add(run, /*record_ndt=*/false, test.name);
+        tally.add(run, test.name);
         if (run.bugDetected())
             break;
     }

@@ -192,35 +192,10 @@ TEST(Harness, VerdictCacheStatsAndIdenticalOutcomes)
     EXPECT_DOUBLE_EQ(without.checkCacheHitRate(), 0.0);
 }
 
-TEST(RunTally, StopsOnEachBudgetLimit)
-{
-    Budget unlimited;
-    EXPECT_FALSE(RunTally(unlimited).exhausted());
-
-    Budget interrupted;
-    interrupted.interrupted = [] { return true; };
-    EXPECT_TRUE(RunTally(interrupted).exhausted());
-
-    Budget runs;
-    runs.maxTestRuns = 2;
-    RunTally by_runs(runs);
-    by_runs.add(RunResult{}, false);
-    EXPECT_FALSE(by_runs.exhausted());
-    by_runs.add(RunResult{}, false);
-    EXPECT_TRUE(by_runs.exhausted());
-
-    Budget seconds;
-    seconds.maxWallSeconds = 1e-9;
-    const RunTally by_seconds(seconds);
-    while (by_seconds.elapsed() < seconds.maxWallSeconds) {
-    }
-    EXPECT_TRUE(by_seconds.exhausted());
-}
-
 TEST(RunTally, FoldsRunsAndKeepsTheFirstBug)
 {
     Budget budget;
-    RunTally tally(budget);
+    RunTally tally(budget, /*record_ndt=*/true);
     RunResult clean;
     clean.simTicks = 10;
     clean.simEvents = 3;
@@ -232,9 +207,9 @@ TEST(RunTally, FoldsRunsAndKeepsTheFirstBug)
     second_bug.protocolError = true;
     second_bug.protocolErrorInfo = "later";
 
-    tally.add(clean, true);
-    tally.add(first_bug, true, "MP");
-    tally.add(second_bug, true);
+    tally.add(clean);
+    tally.add(first_bug, "MP");
+    tally.add(second_bug);
     const HarnessResult result = tally.finish();
 
     EXPECT_EQ(result.testRuns, 3u);
