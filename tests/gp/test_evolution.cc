@@ -169,6 +169,46 @@ TEST(Ga, MeanNdtTracksReports)
     EXPECT_DOUBLE_EQ(engine.meanFitness(), 0.1);
 }
 
+TEST(Ga, InitialPopulationIsRandomThenSteadyState)
+{
+    EvolutionEngine engine(smallGa(), smallGen(), 1);
+    EvolutionEngine::TestRef ref;
+    for (int i = 0; i < 13; ++i) {
+        engine.nextBatch({&ref, 1});
+        EXPECT_EQ(engine.genome(ref).size(), smallGen().testSize);
+        EvalResult result;
+        result.fitness = i < 8 ? 0.1 : 0.2;
+        engine.reportBatch({&result, 1});
+        // The population fills up to its size, then stays fixed.
+        EXPECT_EQ(engine.islandPopulation(0).size(),
+                  std::min<std::size_t>(i + 1, 8));
+    }
+    EXPECT_EQ(engine.evaluated(), 13u);
+}
+
+TEST(Ga, SinglePointModeRuns)
+{
+    EvolutionEngine engine(smallGa(), smallGen(), 5,
+                           XoMode::SinglePoint);
+    EvolutionEngine::TestRef ref;
+    for (int i = 0; i < 15; ++i) {
+        engine.nextBatch({&ref, 1});
+        EXPECT_EQ(engine.genome(ref).size(), smallGen().testSize);
+        EvalResult result;
+        result.fitness = 0.1;
+        engine.reportBatch({&result, 1});
+    }
+    EXPECT_EQ(engine.islandPopulation(0).size(), 8u);
+    EXPECT_EQ(engine.evaluated(), 15u);
+}
+
+TEST(Ga, DeterministicWithSeed)
+{
+    EvolutionEngine a(smallGa(), smallGen(), 7);
+    EvolutionEngine b(smallGa(), smallGen(), 7);
+    EXPECT_EQ(drive(a, 12, 1), drive(b, 12, 1));
+}
+
 TEST(Evolution, BatchSizeDoesNotChangeInitialPopulationPhase)
 {
     // During the initial random phase every emitted test depends only

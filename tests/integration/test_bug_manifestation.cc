@@ -85,21 +85,26 @@ TEST_P(BugManifestation, FoundWithinBudget)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllBugs, BugManifestation,
-    testing::Values(
-        BugCase{sim::BugId::MesiLqIsInv, 1024, 3000},
-        BugCase{sim::BugId::MesiLqSmInv, 1024, 3000},
-        BugCase{sim::BugId::MesiLqEInv, 8192, 3000},
-        BugCase{sim::BugId::MesiLqMInv, 8192, 3000},
-        BugCase{sim::BugId::MesiLqSReplacement, 8192, 3000},
-        BugCase{sim::BugId::MesiPutxRace, 8192, 3000},
-        BugCase{sim::BugId::MesiReplaceRace, 8192, 4000, 256},
-        BugCase{sim::BugId::TsoccNoEpochIds, 1024, 3000},
-        BugCase{sim::BugId::TsoccCompare, 1024, 3000},
-        BugCase{sim::BugId::LqNoTso, 1024, 1500},
-        BugCase{sim::BugId::SqNoFifo, 1024, 1500}),
-    caseName);
+// The cases live in static storage, which zero-fills the padding
+// after `bug`. gtest prints a parameter struct's raw bytes into the
+// test name; cases built on the stack carried stack garbage there and
+// the names changed from run to run.
+constexpr BugCase kBugCases[] = {
+    {sim::BugId::MesiLqIsInv, 1024, 3000},
+    {sim::BugId::MesiLqSmInv, 1024, 3000},
+    {sim::BugId::MesiLqEInv, 8192, 3000},
+    {sim::BugId::MesiLqMInv, 8192, 3000},
+    {sim::BugId::MesiLqSReplacement, 8192, 3000},
+    {sim::BugId::MesiPutxRace, 8192, 3000},
+    {sim::BugId::MesiReplaceRace, 8192, 4000, 256},
+    {sim::BugId::TsoccNoEpochIds, 1024, 3000},
+    {sim::BugId::TsoccCompare, 1024, 3000},
+    {sim::BugId::LqNoTso, 1024, 1500},
+    {sim::BugId::SqNoFifo, 1024, 1500},
+};
+
+INSTANTIATE_TEST_SUITE_P(AllBugs, BugManifestation,
+                         testing::ValuesIn(kBugCases), caseName);
 
 TEST(BugManifestationProperties, ReplacementBugsNeedLargeMemory)
 {

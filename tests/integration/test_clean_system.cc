@@ -66,13 +66,17 @@ TEST_P(CleanSystem, NoViolationUnderGaFuzzing)
     EXPECT_GT(result.totalCoverage, 0.3);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Protocols, CleanSystem,
-    testing::Values(CleanCase{sim::Protocol::Mesi, 8192, 1},
-                    CleanCase{sim::Protocol::Mesi, 1024, 2},
-                    CleanCase{sim::Protocol::Tsocc, 8192, 3},
-                    CleanCase{sim::Protocol::Tsocc, 1024, 4}),
-    caseName);
+// Static storage zero-fills the padding after `protocol`, which gtest
+// prints into the test name (stack-built cases made names vary).
+constexpr CleanCase kCleanCases[] = {
+    {sim::Protocol::Mesi, 8192, 1},
+    {sim::Protocol::Mesi, 1024, 2},
+    {sim::Protocol::Tsocc, 8192, 3},
+    {sim::Protocol::Tsocc, 1024, 4},
+};
+
+INSTANTIATE_TEST_SUITE_P(Protocols, CleanSystem,
+                         testing::ValuesIn(kCleanCases), caseName);
 
 TEST(CleanSystemLitmus, SuitePassesOnBothProtocols)
 {

@@ -180,3 +180,29 @@ TEST(GaDeterminism, SameSeedSamePopulationEvolution)
         EXPECT_EQ(g1.meanFitness(), g2.meanFitness());
     }
 }
+
+TEST(GaDeterminism, DifferentSeedsDiverge)
+{
+    GaParams ga;
+    ga.population = 8;
+    const GenParams gen = smallGen();
+    EvolutionEngine g1(ga, gen, 1);
+    EvolutionEngine g2(ga, gen, 2);
+    EvolutionEngine::TestRef r1;
+    EvolutionEngine::TestRef r2;
+    bool diverged = false;
+    for (int i = 0; i < 8; ++i) {
+        g1.nextBatch({&r1, 1});
+        g2.nextBatch({&r2, 1});
+        const gp::Test t1(std::vector<Node>(g1.genome(r1).begin(),
+                                            g1.genome(r1).end()));
+        const gp::Test t2(std::vector<Node>(g2.genome(r2).begin(),
+                                            g2.genome(r2).end()));
+        diverged |= t1.fingerprint() != t2.fingerprint();
+        EvalResult e1{pseudoFitness(t1), pseudoNd(t1)};
+        EvalResult e2{pseudoFitness(t2), pseudoNd(t2)};
+        g1.reportBatch({&e1, 1});
+        g2.reportBatch({&e2, 1});
+    }
+    EXPECT_TRUE(diverged);
+}
