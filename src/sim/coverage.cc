@@ -15,6 +15,7 @@ TransitionCoverage::registerTransition(const std::string &controller,
     byName_.emplace(key, id);
     names_.push_back(key);
     counts_.push_back(0);
+    runStamp_.push_back(0);
     return id;
 }
 

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace mcversi::sim {
@@ -32,13 +31,19 @@ class TransitionCoverage
                                      const std::string &state,
                                      const std::string &event);
 
-    /** Record one occurrence of a registered transition. */
+    /**
+     * Record one occurrence of a registered transition. The per-run
+     * set is a stamp per id: an id joins the run's list the first time
+     * its stamp differs from the current run number, so no hashing.
+     */
     void
     record(std::uint32_t id)
     {
         ++counts_[id];
-        if (runActive_)
-            runCovered_.insert(id);
+        if (runActive_ && runStamp_[id] != run_) {
+            runStamp_[id] = run_;
+            runCovered_.push_back(id);
+        }
     }
 
     /** Begin collecting the per-run covered set. */
@@ -46,16 +51,20 @@ class TransitionCoverage
     beginRun()
     {
         runActive_ = true;
+        ++run_;
         runCovered_.clear();
         preCounts_ = counts_;
     }
 
-    /** End the run; returns the ids covered during it. */
+    /**
+     * End the run; returns the ids covered during it, each once, in
+     * the order of their first occurrence in the run.
+     */
     std::vector<std::uint32_t>
     endRun()
     {
         runActive_ = false;
-        return {runCovered_.begin(), runCovered_.end()};
+        return runCovered_;
     }
 
     /** Global counts as of beginRun() (for adaptive fitness). */
@@ -84,7 +93,10 @@ class TransitionCoverage
     std::vector<std::string> names_;
     std::vector<std::uint64_t> counts_;
     std::vector<std::uint64_t> preCounts_;
-    std::unordered_set<std::uint32_t> runCovered_;
+    /** Per id: the last run number that recorded it (0 = none). */
+    std::vector<std::uint64_t> runStamp_;
+    std::vector<std::uint32_t> runCovered_;
+    std::uint64_t run_ = 0;
     bool runActive_ = false;
 };
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sim/coverage.hh"
 #include "sim/fault.hh"
 #include "sim/transition_table.hh"
@@ -62,6 +64,26 @@ TEST(Coverage, RunDeltaCapturesCoveredIds)
     auto covered = cov.endRun();
     ASSERT_EQ(covered.size(), 1u);
     EXPECT_EQ(covered[0], b);
+}
+
+TEST(Coverage, RunDeltaListsEachIdOnceInFirstOccurrenceOrder)
+{
+    TransitionCoverage cov;
+    const auto a = cov.registerTransition("C", "S", "E1");
+    const auto b = cov.registerTransition("C", "S", "E2");
+    const auto c = cov.registerTransition("C", "S", "E3");
+    cov.beginRun();
+    cov.record(c);
+    cov.record(a);
+    cov.record(c);
+    cov.record(a);
+    EXPECT_EQ(cov.endRun(), (std::vector<std::uint32_t>{c, a}));
+    // A new run starts empty even for ids the last run covered.
+    cov.beginRun();
+    cov.record(b);
+    cov.record(c);
+    EXPECT_EQ(cov.endRun(), (std::vector<std::uint32_t>{b, c}));
+    EXPECT_EQ(cov.counts()[c], 3u);
 }
 
 TEST(Coverage, RecordsOutsideRunNotInDelta)
