@@ -41,12 +41,20 @@ struct Scenario
     std::uint64_t systemSeed;
     std::uint64_t sourceSeed;
     std::uint64_t testRuns;
+    int testSize;
+    std::uint64_t memSize;
 };
 
+// The 1 KiB scenarios never fill an L2 set. With 8 KiB of test memory
+// (16 blocks 1 MiB apart) each 4-way L2 set holds 16 candidate lines,
+// so the *-8k scenarios pin the path where a request finds its set full
+// of transient lines and must wait for a victim.
 constexpr Scenario kScenarios[] = {
-    {"mesi-a", sim::Protocol::Mesi, 101, 11, 4},
-    {"mesi-b", sim::Protocol::Mesi, 202, 22, 4},
-    {"tsocc-a", sim::Protocol::Tsocc, 303, 33, 4},
+    {"mesi-a", sim::Protocol::Mesi, 101, 11, 4, 96, 1024},
+    {"mesi-b", sim::Protocol::Mesi, 202, 22, 4, 96, 1024},
+    {"tsocc-a", sim::Protocol::Tsocc, 303, 33, 4, 96, 1024},
+    {"mesi-8k", sim::Protocol::Mesi, 404, 44, 4, 256, 8192},
+    {"tsocc-8k", sim::Protocol::Tsocc, 505, 55, 4, 256, 8192},
 };
 
 void
@@ -64,9 +72,9 @@ dumpScenario(const Scenario &sc)
     VerificationHarness::Params params;
     params.system.protocol = sc.protocol;
     params.system.seed = sc.systemSeed;
-    params.gen.testSize = 96;
+    params.gen.testSize = sc.testSize;
     params.gen.iterations = 4;
-    params.gen.memSize = 1024;
+    params.gen.memSize = sc.memSize;
     params.workload.iterations = params.gen.iterations;
 
     RandomSource source(params.gen, sc.sourceSeed);
