@@ -152,6 +152,25 @@ class CacheArray
         return best;
     }
 
+    /**
+     * True if @p line's set has a free way or an entry satisfying
+     * @p evictable, i.e. allocate() or a replacement can make room.
+     */
+    template <typename Pred>
+    bool
+    canAllocate(Addr line, Pred &&evictable) const
+    {
+        const std::size_t base = setIndex(line) *
+                                 static_cast<std::size_t>(ways_);
+        for (int w = 0; w < ways_; ++w) {
+            const CacheEntry &e =
+                entries_[base + static_cast<std::size_t>(w)];
+            if (!live(e) || evictable(e))
+                return true;
+        }
+        return false;
+    }
+
     /** Invalidate (free) one entry. */
     void
     free(CacheEntry &entry)
@@ -189,18 +208,19 @@ class CacheArray
         entry.lastUse = now;
     }
 
-  private:
-    bool
-    live(const CacheEntry &e) const
-    {
-        return e.generation == generation_ && e.line != kNoAddr;
-    }
-
+    /** Set that @p line maps to. */
     std::size_t
     setIndex(Addr line) const
     {
         return static_cast<std::size_t>(
             (line / kLineBytes) % static_cast<Addr>(sets_));
+    }
+
+  private:
+    bool
+    live(const CacheEntry &e) const
+    {
+        return e.generation == generation_ && e.line != kNoAddr;
     }
 
     int sets_;

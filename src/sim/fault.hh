@@ -10,7 +10,8 @@
  *
  * A run that never settles trips the event queue's livelock watchdog
  * instead, raising WatchdogAbort; the workload abandons that iteration
- * and carries on.
+ * and carries on. A run that settles with L2 requests still parked for
+ * a way raises StallDeadlock, a WatchdogAbort handled the same way.
  */
 
 #ifndef MCVERSI_SIM_FAULT_HH
@@ -49,6 +50,16 @@ class WatchdogAbort : public std::runtime_error
 {
   public:
     using std::runtime_error::runtime_error;
+};
+
+/**
+ * The system went quiescent while an L2 still held requests parked for
+ * a way: nothing is left to wake them (System::runToQuiescence).
+ */
+class StallDeadlock : public WatchdogAbort
+{
+  public:
+    using WatchdogAbort::WatchdogAbort;
 };
 
 } // namespace mcversi::sim

@@ -23,7 +23,7 @@ MesiL2::MesiL2(int tile, const SystemConfig &cfg, EventQueue &eq,
                Network &net, TransitionCoverage &cov, Rng rng)
     : tile_(tile), cfg_(cfg), eq_(eq), net_(net),
       table_(cov, "MESI-L2", kStateNames, kEventNames), rng_(rng),
-      array_(cfg.l2SetsPerTile, cfg.l2Ways)
+      array_(cfg.l2SetsPerTile, cfg.l2Ways), stalls_(cfg.l2SetsPerTile)
 {
     buildTable();
 }
@@ -270,16 +270,16 @@ MesiL2::serveGetx(CacheEntry *entry, Addr line, Pid c)
               });
 }
 
-bool
+void
 MesiL2::startFetch(Addr line, Pid c, bool exclusive, const Msg &msg)
 {
     CacheEntry *entry = array_.allocate(line);
     if (!entry) {
         if (!evictVictim(line)) {
-            // No stable victim yet; retry the whole request later.
-            eq_.scheduleDeliver(eq_.now() + 16, this,
-                                eq_.msgPool().acquireCopy(msg));
-            return false;
+            // No stable victim yet: wait for wake() to re-serve the
+            // whole request.
+            stalls_.park(array_.setIndex(line), msg);
+            return;
         }
         entry = array_.allocate(line);
         assert(entry);
@@ -288,19 +288,31 @@ MesiL2::startFetch(Addr line, Pid c, bool exclusive, const Msg &msg)
     entry->pendingRequester = c;
     array_.touch(*entry, eq_.now());
     send(MsgType::MemRead, line, kMemNode, Vnet::Mem);
-    return true;
+}
+
+bool
+MesiL2::evictable(const CacheEntry &e)
+{
+    return e.state == StSS || e.state == StMT;
 }
 
 bool
 MesiL2::evictVictim(Addr line)
 {
-    CacheEntry *victim = array_.victim(line, [](const CacheEntry &e) {
-        return e.state == StSS || e.state == StMT;
-    });
+    CacheEntry *victim = array_.victim(line, evictable);
     if (!victim)
         return false;
     doReplacement(*victim);
     return true;
+}
+
+void
+MesiL2::wake(Addr line)
+{
+    stalls_.wake(
+        array_.setIndex(line),
+        [&] { return array_.canAllocate(line, evictable); },
+        [this](const Msg &msg) { serveRequest(msg); });
 }
 
 void
@@ -530,6 +542,7 @@ MesiL2::handleMsg(const Msg &msg)
         entry->owner = entry->pendingRequester;
         entry->pendingRequester = kInitPid;
         drain(line);
+        wake(line);
         return;
       }
 
@@ -549,6 +562,7 @@ MesiL2::handleMsg(const Msg &msg)
         entry->pendingRequester = kInitPid;
         entry->state = StSS;
         drain(line);
+        wake(line);
         return;
       }
 
@@ -606,6 +620,7 @@ MesiL2::resetAll()
     array_.reset();
     evict_.clear();
     waiting_.clear();
+    stalls_.clear();
     staleRecallAcks_.clear();
 }
 

@@ -9,6 +9,10 @@
  * lets an invalidation from a subsequent GETX overtake the data response
  * in the network and exercise the L1's IS_I window.
  *
+ * A miss whose set has neither a free way nor a stable (SS/MT) victim
+ * parks on the set's stall queue and is re-served when a line of that
+ * set becomes stable (Unblock -> MT, WbDataToL2 -> SS).
+ *
  * Replacement of an owned (MT) line recalls it from the owner; the
  * racing owner writeback (PUTX) paths host two of the §5.3 bugs:
  *   - MESI+PUTX-Race: (MT, PUTX-from-non-owner) removed from the table,
@@ -28,6 +32,7 @@
 #include "sim/config.hh"
 #include "sim/eventq.hh"
 #include "sim/network.hh"
+#include "sim/stall_queues.hh"
 #include "sim/transition_table.hh"
 
 namespace mcversi::sim {
@@ -80,6 +85,9 @@ class MesiL2 : public MsgHandler
     /** Introspection for tests. */
     State lineState(Addr line);
 
+    /** Requests parked until their set has a victim. */
+    const SetStallQueues &stalls() const { return stalls_; }
+
   private:
     struct EvictBuf
     {
@@ -112,8 +120,13 @@ class MesiL2 : public MsgHandler
     void serveRequest(const Msg &msg);
     void serveGets(CacheEntry *entry, Addr line, Pid c);
     void serveGetx(CacheEntry *entry, Addr line, Pid c);
-    bool startFetch(Addr line, Pid c, bool exclusive, const Msg &msg);
+    /** Allocate and fetch @p line, or park @p msg if the set is full. */
+    void startFetch(Addr line, Pid c, bool exclusive, const Msg &msg);
+    /** Replacement candidates: the stable states. */
+    static bool evictable(const CacheEntry &e);
     bool evictVictim(Addr line);
+    /** Re-serve @p line's set's parked requests (it gained a victim). */
+    void wake(Addr line);
     void doReplacement(CacheEntry &entry);
     /** Finish an MT_I eviction given the owner's data response. */
     void completeRecall(Addr line, EvictBuf &buf, bool msg_dirty,
@@ -132,6 +145,7 @@ class MesiL2 : public MsgHandler
     CacheArray array_;
     std::unordered_map<Addr, EvictBuf> evict_;
     std::unordered_map<Addr, std::deque<Msg>> waiting_;
+    SetStallQueues stalls_;
     /**
      * Recalls completed by a racing PUTX still owe us a stale
      * RecallAckNoData from the old owner (its ack and our WbAck cross);

@@ -1,6 +1,31 @@
 #include "sim/system.hh"
 
+#include <sstream>
+
 namespace mcversi::sim {
+
+namespace {
+
+/** Throw StallDeadlock naming the first L2 with parked requests. */
+template <typename L2>
+void
+throwIfStalled(const std::vector<std::unique_ptr<L2>> &l2s,
+               const char *controller)
+{
+    for (std::size_t t = 0; t < l2s.size(); ++t) {
+        const SetStallQueues &stalls = l2s[t]->stalls();
+        if (stalls.size() == 0)
+            continue;
+        std::ostringstream os;
+        os << controller << " tile " << t << ": " << stalls.size()
+           << " request(s) parked for a way at quiescence, oldest for "
+              "line 0x"
+           << std::hex << stalls.firstParkedLine();
+        throw StallDeadlock(os.str());
+    }
+}
+
+} // namespace
 
 System::System(SystemConfig cfg) : cfg_(cfg), masterRng_(cfg.seed)
 {
@@ -115,7 +140,10 @@ System::zeroMemory(const std::vector<Addr> &word_addrs)
 std::uint64_t
 System::runToQuiescence()
 {
-    return eq_.runUntilQuiescent();
+    const std::uint64_t events = eq_.runUntilQuiescent();
+    throwIfStalled(mesiL2s_, "MESI-L2");
+    throwIfStalled(tsoccL2s_, "TSOCC-L2");
+    return events;
 }
 
 } // namespace mcversi::sim

@@ -64,7 +64,11 @@ class System
     /** Zero the given word addresses in main memory. */
     void zeroMemory(const std::vector<Addr> &word_addrs);
 
-    /** Run the event queue dry. May throw ProtocolError. */
+    /**
+     * Run the event queue dry. May throw ProtocolError, WatchdogAbort,
+     * or StallDeadlock if an L2 still holds parked requests once no
+     * event is left to wake them.
+     */
     std::uint64_t runToQuiescence();
 
   private:

@@ -22,7 +22,7 @@ TsoccL2::TsoccL2(int tile, const SystemConfig &cfg, EventQueue &eq,
                  Network &net, TransitionCoverage &cov, Rng rng)
     : tile_(tile), cfg_(cfg), eq_(eq), net_(net),
       table_(cov, "TSOCC-L2", kStateNames, kEventNames), rng_(rng),
-      array_(cfg.l2SetsPerTile, cfg.l2Ways)
+      array_(cfg.l2SetsPerTile, cfg.l2Ways), stalls_(cfg.l2SetsPerTile)
 {
     buildTable();
 }
@@ -152,15 +152,16 @@ TsoccL2::grant(CacheEntry &entry, Pid c, bool exclusive)
               });
 }
 
-bool
+void
 TsoccL2::startFetch(Addr line, Pid c, bool exclusive, const Msg &msg)
 {
     CacheEntry *entry = array_.allocate(line);
     if (!entry) {
         if (!evictVictim(line)) {
-            eq_.scheduleDeliver(eq_.now() + 16, this,
-                                eq_.msgPool().acquireCopy(msg));
-            return false;
+            // No stable victim yet: wait for wake() to re-serve the
+            // whole request.
+            stalls_.park(array_.setIndex(line), msg);
+            return;
         }
         entry = array_.allocate(line);
         assert(entry);
@@ -169,19 +170,31 @@ TsoccL2::startFetch(Addr line, Pid c, bool exclusive, const Msg &msg)
     entry->pendingRequester = c;
     array_.touch(*entry, eq_.now());
     send(MsgType::MemRead, line, kMemNode, Vnet::Mem);
-    return true;
+}
+
+bool
+TsoccL2::evictable(const CacheEntry &e)
+{
+    return e.state == StU || e.state == StO;
 }
 
 bool
 TsoccL2::evictVictim(Addr line)
 {
-    CacheEntry *victim = array_.victim(line, [](const CacheEntry &e) {
-        return e.state == StU || e.state == StO;
-    });
+    CacheEntry *victim = array_.victim(line, evictable);
     if (!victim)
         return false;
     doReplacement(*victim);
     return true;
+}
+
+void
+TsoccL2::wake(Addr line)
+{
+    stalls_.wake(
+        array_.setIndex(line),
+        [&] { return array_.canAllocate(line, evictable); },
+        [this](const Msg &msg) { serveRequest(msg); });
 }
 
 void
@@ -230,6 +243,7 @@ TsoccL2::finishRecall(CacheEntry *entry, Addr line, const Msg &msg)
         entry->state = StU;
         grant(*entry, c, false);
         drain(line);
+        wake(line);
     }
 }
 
@@ -366,6 +380,7 @@ TsoccL2::handleMsg(const Msg &msg)
             entry->pendingRequester = kInitPid;
             grant(*entry, c, false);
             drain(line);
+            wake(line);
         } else {
             entry->state = StB_O;
             grant(*entry, c, true);
@@ -381,6 +396,7 @@ TsoccL2::handleMsg(const Msg &msg)
         entry->owner = entry->pendingRequester;
         entry->pendingRequester = kInitPid;
         drain(line);
+        wake(line);
         return;
       }
 
@@ -450,7 +466,8 @@ TsoccL2::debugSummary()
         if (hist[i])
             os << " " << kStateNames[static_cast<std::size_t>(i)] << "="
                << hist[i];
-    os << " evict=" << evict_.size() << " waitq=" << waiting_.size();
+    os << " evict=" << evict_.size() << " waitq=" << waiting_.size()
+       << " stalled=" << stalls_.size();
     for (Addr a : stuck)
         os << " stuck:0x" << std::hex << a << std::dec << "/"
            << kStateNames[array_.find(a)->state];
@@ -463,6 +480,7 @@ TsoccL2::resetAll()
     array_.reset();
     evict_.clear();
     waiting_.clear();
+    stalls_.clear();
     staleRecallAcks_.clear();
     metaStore_.clear();
 }

@@ -8,6 +8,10 @@
  * metadata supplied to readers for the self-invalidation rule; metadata
  * is lost when a line is evicted to memory, which readers treat
  * conservatively.
+ *
+ * A miss whose set has neither a free way nor a stable (U/O) victim
+ * parks on the set's stall queue and is re-served when a line of that
+ * set becomes stable (-> U or -> O).
  */
 
 #ifndef MCVERSI_SIM_TSOCC_TSOCC_L2_HH
@@ -22,6 +26,7 @@
 #include "sim/config.hh"
 #include "sim/eventq.hh"
 #include "sim/network.hh"
+#include "sim/stall_queues.hh"
 #include "sim/transition_table.hh"
 
 namespace mcversi::sim {
@@ -62,6 +67,9 @@ class TsoccL2 : public MsgHandler
     void resetAll();
     State lineState(Addr line);
 
+    /** Requests parked until their set has a victim. */
+    const SetStallQueues &stalls() const { return stalls_; }
+
     /** One-line state histogram for deadlock diagnosis. */
     std::string debugSummary();
 
@@ -86,8 +94,13 @@ class TsoccL2 : public MsgHandler
     bool serving(Addr line);
     void drain(Addr line);
     void serveRequest(const Msg &msg);
-    bool startFetch(Addr line, Pid c, bool exclusive, const Msg &msg);
+    /** Allocate and fetch @p line, or park @p msg if the set is full. */
+    void startFetch(Addr line, Pid c, bool exclusive, const Msg &msg);
+    /** Replacement candidates: the stable states. */
+    static bool evictable(const CacheEntry &e);
     bool evictVictim(Addr line);
+    /** Re-serve @p line's set's parked requests (it gained a victim). */
+    void wake(Addr line);
     void doReplacement(CacheEntry &entry);
 
     /** Send data (with metadata) for a completed GETS / GETX. */
@@ -105,6 +118,7 @@ class TsoccL2 : public MsgHandler
     CacheArray array_;
     std::unordered_map<Addr, EvictBuf> evict_;
     std::unordered_map<Addr, std::deque<Msg>> waiting_;
+    SetStallQueues stalls_;
     /** Stale owner recall acks still in flight after a PUTX race. */
     std::unordered_map<Addr, int> staleRecallAcks_;
     /**

@@ -179,7 +179,63 @@ throwRuntimeError(void *, std::uint64_t, std::uint64_t, std::uint64_t,
     throw std::runtime_error("not a watchdog abort");
 }
 
+/** Far above test memory; line i maps to tile 0's L2 set 0. */
+Addr
+strandedLine(int i)
+{
+    return (Addr{1} << 30) + static_cast<Addr>(i) * 8 * 512 * kLineBytes;
+}
+
+/** Main memory that never answers reads of the stranded lines. */
+struct DroppingMemory : sim::MsgHandler
+{
+    sim::MainMemory &mem;
+
+    explicit DroppingMemory(sim::MainMemory &m) : mem(m) {}
+
+    void
+    handleMsg(const sim::Msg &msg) override
+    {
+        if (msg.type == sim::MsgType::MemRead && msg.line >= strandedLine(0))
+            return;
+        mem.handleMsg(msg);
+    }
+};
+
+/** Five GETS into one 4-way L2 set whose fetches never return. */
+void
+strandFiveFetches(void *obj, std::uint64_t, std::uint64_t, std::uint64_t,
+                  std::uint64_t)
+{
+    sim::MesiL2 &l2 = *static_cast<sim::System *>(obj)->mesiL2(0);
+    for (int i = 0; i < 5; ++i) {
+        sim::Msg gets;
+        gets.type = sim::MsgType::GETS;
+        gets.line = strandedLine(i);
+        gets.src = sim::coreNode(static_cast<Pid>(i));
+        gets.dst = sim::l2Node(0);
+        gets.requester = static_cast<Pid>(i);
+        l2.handleMsg(gets);
+    }
+}
+
 } // namespace
+
+TEST(Workload, StallDeadlockAbandonsOnlyTheStalledIteration)
+{
+    WorkloadFixture f(sim::BugId::None, 2);
+    DroppingMemory memory(f.sys->memory());
+    f.sys->network().registerNode(sim::kMemNode, &memory);
+    gp::RandomTestGen rtg(f.gen);
+    Rng rng(11);
+    // The first iteration ends quiescent with one GETS still parked:
+    // counted as a watchdog abort; the second runs clean.
+    f.sys->eventQueue().scheduleFnIn(1, strandFiveFetches, f.sys.get());
+    const RunResult r = f.workload->runTest(rtg.randomTest(rng));
+    EXPECT_EQ(r.watchdogAborts, 1);
+    EXPECT_FALSE(r.bugDetected());
+    EXPECT_EQ(f.sys->mesiL2(0)->stalls().size(), 0u);
+}
 
 TEST(Workload, WatchdogAbortAbandonsOnlyTheLivelockedIteration)
 {

@@ -11,9 +11,11 @@
  * This is the proof obligation for DES-kernel refactors (typed event
  * records, time-wheel scheduling, pooled messages): any change to
  * event ordering, RNG draw order, or message delivery shows up as a
- * byte diff here. The golden was generated with the pre-time-wheel
- * binary-heap kernel and must stay byte-identical under any
- * performance-only rework of the scheduler.
+ * byte diff here. The 1 KiB scenarios were generated with the
+ * pre-time-wheel binary-heap kernel and must stay byte-identical under
+ * any performance-only rework of the scheduler. The 8 KiB scenarios
+ * were re-baselined once, on purpose, when L2 requests stalled for a
+ * way switched from 16-tick polling to stall-and-wake.
  *
  * Regenerate (only after a deliberate behavioral change) with:
  *   MCVERSI_UPDATE_GOLDEN=1 ./mcversi_integration_test_witness_identity

@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
+#include "sim/fault.hh"
 #include "sim/memory.hh"
 #include "sim/network.hh"
+#include "sim/system.hh"
 #include "sim/tsocc/tsocc_l1.hh"
 #include "sim/tsocc/tsocc_l2.hh"
 
@@ -358,4 +363,193 @@ TEST(TsoccProtocol, RmwFenceSelfInvalidatesSharedLines)
     EXPECT_EQ(f.l1s[0]->lineState(kLineA), TsoccL1::StI)
         << "fence must drop shared lines";
     EXPECT_TRUE(f.gotInv(0, kLineA));
+}
+
+// ---------------------------------------------------------------------
+// Stall-and-wake: a miss whose L2 set holds no stable victim parks on
+// the set's queue and is re-served when a line of the set turns stable.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** Lines homed at tile 0 that all map to L2 set 0 (stride 8*512*64). */
+Addr
+setLine(int i)
+{
+    return static_cast<Addr>(i) * 8 * 512 * kLineBytes;
+}
+
+/** Records the messages a fake core receives. */
+struct MsgLog : MsgHandler
+{
+    std::vector<Msg> msgs;
+    void handleMsg(const Msg &msg) override { msgs.push_back(msg); }
+};
+
+/** Never answers (a memory that strands every fetch). */
+struct SilentNode : MsgHandler
+{
+    void handleMsg(const Msg &) override {}
+};
+
+/** Tile 0's L2 alone, with fake cores that never unblock. */
+struct TsoccL2Rig
+{
+    SystemConfig cfg;
+    EventQueue eq;
+    Network net{eq, Rng(8)};
+    MainMemory mem{eq, net, Rng(9)};
+    TransitionCoverage cov;
+    TsoccL2 l2{0, cfg, eq, net, cov, Rng(100)};
+    std::vector<MsgLog> cores = std::vector<MsgLog>(8);
+
+    TsoccL2Rig()
+    {
+        net.registerNode(kMemNode, &mem);
+        net.registerNode(l2Node(0), &l2);
+        for (Pid p = 0; p < 8; ++p)
+            net.registerNode(coreNode(p), &cores[static_cast<std::size_t>(p)]);
+    }
+
+    void
+    deliver(MsgType type, Pid p, Addr line)
+    {
+        Msg m;
+        m.type = type;
+        m.line = line;
+        m.src = coreNode(p);
+        m.dst = l2Node(0);
+        m.requester = p;
+        l2.handleMsg(m);
+    }
+
+    /** Fill set 0 with four lines blocked in B_O (granted, no Unblock). */
+    void
+    fillSetWithTransients()
+    {
+        for (int i = 0; i < 4; ++i)
+            deliver(MsgType::GETX, static_cast<Pid>(i), setLine(i));
+        eq.runUntilQuiescent();
+        for (int i = 0; i < 4; ++i)
+            ASSERT_EQ(l2.lineState(setLine(i)), TsoccL2::StB_O);
+    }
+};
+
+} // namespace
+
+TEST(TsoccStallWake, ParkedGetsIsServedAtTheUnblockTick)
+{
+    TsoccL2Rig rig;
+    rig.fillSetWithTransients();
+    rig.deliver(MsgType::GETS, 4, setLine(4));
+    EXPECT_EQ(rig.l2.lineState(setLine(4)), TsoccL2::StNP);
+    EXPECT_EQ(rig.l2.stalls().size(), 1u);
+
+    // A parked request schedules nothing: no polling while it waits.
+    const std::uint64_t processed = rig.eq.processed();
+    EXPECT_TRUE(rig.eq.empty());
+    rig.eq.runUntilQuiescent();
+    EXPECT_EQ(rig.eq.processed(), processed);
+
+    // The Unblock makes line 0 a victim (O); within the same handler
+    // the parked GETS recalls it and takes its way.
+    const auto tick = rig.eq.now();
+    rig.deliver(MsgType::Unblock, 0, setLine(0));
+    EXPECT_EQ(rig.eq.now(), tick);
+    EXPECT_EQ(rig.l2.lineState(setLine(0)), TsoccL2::StO_I);
+    EXPECT_EQ(rig.l2.lineState(setLine(4)), TsoccL2::StIU_S);
+    EXPECT_EQ(rig.l2.stalls().size(), 0u);
+}
+
+TEST(TsoccStallWake, OneVictimServesOneParkedRequestInFifoOrder)
+{
+    TsoccL2Rig rig;
+    rig.fillSetWithTransients();
+    for (int i = 4; i < 7; ++i)
+        rig.deliver(MsgType::GETX, static_cast<Pid>(i), setLine(i));
+    EXPECT_EQ(rig.l2.stalls().size(), 3u);
+
+    // Every service attempt of a miss records (NP, GETX): a wake that
+    // retried the whole queue would record one per parked request.
+    const auto np_getx = rig.cov.registerTransition("TSOCC-L2", "NP", "GETX");
+    for (int v = 0; v < 3; ++v) {
+        const std::uint64_t attempts = rig.cov.counts()[np_getx];
+        rig.deliver(MsgType::Unblock, static_cast<Pid>(v), setLine(v));
+        EXPECT_EQ(rig.cov.counts()[np_getx], attempts + 1);
+        // Exactly the oldest parked request got the victim's way.
+        for (int i = 4; i < 7; ++i) {
+            EXPECT_EQ(rig.l2.lineState(setLine(i)),
+                      i <= 4 + v ? TsoccL2::StIU_X : TsoccL2::StNP)
+                << "victim " << v << ", line " << i;
+        }
+        EXPECT_EQ(rig.l2.stalls().size(), static_cast<std::size_t>(2 - v));
+    }
+}
+
+TEST(TsoccStallWake, ResetAllDropsParkedRequests)
+{
+    TsoccL2Rig rig;
+    rig.fillSetWithTransients();
+    rig.deliver(MsgType::GETS, 4, setLine(4));
+    ASSERT_EQ(rig.l2.stalls().size(), 1u);
+    rig.l2.resetAll();
+    EXPECT_EQ(rig.l2.stalls().size(), 0u);
+    // The emptied set allocates again at once.
+    rig.deliver(MsgType::GETS, 5, setLine(5));
+    EXPECT_EQ(rig.l2.lineState(setLine(5)), TsoccL2::StIU_S);
+    EXPECT_EQ(rig.l2.stalls().size(), 0u);
+}
+
+TEST(TsoccStallWake, StrandedStallIsAStallDeadlock)
+{
+    SystemConfig cfg;
+    cfg.protocol = Protocol::Tsocc;
+    System sys(cfg);
+    SilentNode silent;
+    sys.network().registerNode(kMemNode, &silent);
+    // Five fetches into one 4-way set: four wait on memory forever,
+    // the fifth parks with nothing left to wake it.
+    for (int i = 0; i < 5; ++i)
+        sys.l1(static_cast<Pid>(i))->coreLoad(1, setLine(i));
+    std::string what;
+    try {
+        sys.runToQuiescence();
+        FAIL() << "quiescence with a parked request must throw";
+    } catch (const StallDeadlock &err) {
+        what = err.what();
+    }
+    EXPECT_EQ(sys.tsoccL2(0)->stalls().size(), 1u);
+    // The message names the controller, the tile and the parked line
+    // (whichever request reached the full set last).
+    EXPECT_NE(what.find("TSOCC-L2 tile 0"), std::string::npos) << what;
+    int parked = 0;
+    for (int i = 0; i < 5; ++i) {
+        if (sys.tsoccL2(0)->lineState(setLine(i)) != TsoccL2::StNP)
+            continue;
+        ++parked;
+        std::ostringstream line;
+        line << "line 0x" << std::hex << setLine(i);
+        EXPECT_NE(what.find(line.str()), std::string::npos) << what;
+    }
+    EXPECT_EQ(parked, 1);
+
+    // The workload's abandon path (watchdog abort and streaming early
+    // stop) leaves nothing parked behind.
+    sys.eventQueue().clearPending();
+    sys.resetProtocolState();
+    EXPECT_EQ(sys.tsoccL2(0)->stalls().size(), 0u);
+    EXPECT_NO_THROW(sys.runToQuiescence());
+}
+
+TEST(TsoccProtocol, StrayRecallAckIsAProtocolError)
+{
+    // A RecallAckNoData for a line with no entry, no eviction in
+    // flight and no stale ack owed matches no defined transition.
+    TsoccL2Rig rig;
+    Msg ack;
+    ack.type = MsgType::RecallAckNoData;
+    ack.line = setLine(0);
+    ack.src = coreNode(0);
+    ack.dst = l2Node(0);
+    EXPECT_THROW(rig.l2.handleMsg(ack), ProtocolError);
 }
