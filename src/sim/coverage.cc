@@ -15,7 +15,6 @@ TransitionCoverage::registerTransition(const std::string &controller,
     byName_.emplace(key, id);
     names_.push_back(key);
     counts_.push_back(0);
-    runStamp_.push_back(0);
     return id;
 }
 

@@ -52,6 +52,7 @@ class TransitionCoverage
     {
         runActive_ = true;
         ++run_;
+        runStamp_.resize(counts_.size());
         runCovered_.clear();
         preCounts_ = counts_;
     }
@@ -93,7 +94,10 @@ class TransitionCoverage
     std::vector<std::string> names_;
     std::vector<std::uint64_t> counts_;
     std::vector<std::uint64_t> preCounts_;
-    /** Per id: the last run number that recorded it (0 = none). */
+    /**
+     * Per id: the last run number that recorded it (0 = none). Sized by
+     * beginRun(), so ids must be registered before a run begins.
+     */
     std::vector<std::uint64_t> runStamp_;
     std::vector<std::uint32_t> runCovered_;
     std::uint64_t run_ = 0;

@@ -12,10 +12,11 @@
  * and the rest stay parked. This is gem5 Ruby's stall_and_wait /
  * wakeUpBuffers in place of recycle.
  *
- * Storage is lazy: the per-set table is built on the first park, and a
- * set's FIFO allocates on its first park and keeps its capacity, so an
- * L2 that never stalls costs nothing and the steady state does not
- * allocate.
+ * Storage is lazy and sparse: a set gets a FIFO on its first park and
+ * keeps it, with its capacity, across resets. Under the test-memory
+ * layout only a few sets per L2 tile ever fill, so the FIFOs live in a
+ * short list searched linearly, and an L2 that never stalls allocates
+ * nothing.
  */
 
 #ifndef MCVERSI_SIM_STALL_QUEUES_HH
@@ -29,22 +30,28 @@
 
 namespace mcversi::sim {
 
-/** Parked requests of one cache array, one FIFO per set. */
+/** Parked requests of one cache array, one FIFO per stalled set. */
 class SetStallQueues
 {
   public:
-    explicit SetStallQueues(int sets)
-        : numSets_(static_cast<std::size_t>(sets))
-    {
-    }
-
     /** Append @p msg to @p set's FIFO. */
     void
     park(std::size_t set, const Msg &msg)
     {
-        if (sets_.empty())
-            sets_.resize(numSets_);
-        sets_[set].items.push_back(msg);
+        std::size_t i = find(set);
+        if (i == fifos_.size())
+            fifos_.push_back(Fifo{set, {}, 0});
+        Fifo &q = fifos_[i];
+        // A busy set may never drain within an iteration: reclaim the
+        // served prefix before growing, so capacity tracks the most
+        // requests parked at once rather than all parked so far.
+        if (q.head > 0 && q.items.size() == q.items.capacity()) {
+            q.items.erase(q.items.begin(),
+                          q.items.begin() +
+                              static_cast<std::ptrdiff_t>(q.head));
+            q.head = 0;
+        }
+        q.items.push_back(msg);
         ++parked_;
     }
 
@@ -59,8 +66,10 @@ class SetStallQueues
     {
         if (parked_ == 0)
             return;
-        Fifo &q = sets_[set];
-        while (q.head < q.items.size() && can_allocate()) {
+        const std::size_t i = find(set);
+        while (i < fifos_.size() && fifos_[i].head < fifos_[i].items.size() &&
+               can_allocate()) {
+            Fifo &q = fifos_[i];
             const Msg msg = q.items[q.head++];
             --parked_;
             if (q.head == q.items.size()) {
@@ -74,11 +83,14 @@ class SetStallQueues
     /** Number of parked requests over all sets. */
     std::size_t size() const { return parked_; }
 
-    /** Line of the oldest request on the lowest parked set, or kNoAddr. */
+    /**
+     * Line of the oldest request on the first set (in order of its
+     * first stall) that has one parked, or kNoAddr.
+     */
     Addr
     firstParkedLine() const
     {
-        for (const Fifo &q : sets_)
+        for (const Fifo &q : fifos_)
             if (q.head < q.items.size())
                 return q.items[q.head].line;
         return kNoAddr;
@@ -90,7 +102,7 @@ class SetStallQueues
     {
         if (parked_ == 0)
             return;
-        for (Fifo &q : sets_) {
+        for (Fifo &q : fifos_) {
             q.items.clear();
             q.head = 0;
         }
@@ -100,12 +112,22 @@ class SetStallQueues
   private:
     struct Fifo
     {
+        std::size_t set;
         std::vector<Msg> items;
-        std::size_t head = 0;
+        std::size_t head;
     };
 
-    std::size_t numSets_;
-    std::vector<Fifo> sets_; ///< empty until the first park
+    /** Index of @p set's FIFO, or fifos_.size() if it has none. */
+    std::size_t
+    find(std::size_t set) const
+    {
+        std::size_t i = 0;
+        while (i < fifos_.size() && fifos_[i].set != set)
+            ++i;
+        return i;
+    }
+
+    std::vector<Fifo> fifos_;
     std::size_t parked_ = 0;
 };
 

@@ -22,7 +22,7 @@ TsoccL2::TsoccL2(int tile, const SystemConfig &cfg, EventQueue &eq,
                  Network &net, TransitionCoverage &cov, Rng rng)
     : tile_(tile), cfg_(cfg), eq_(eq), net_(net),
       table_(cov, "TSOCC-L2", kStateNames, kEventNames), rng_(rng),
-      array_(cfg.l2SetsPerTile, cfg.l2Ways), stalls_(cfg.l2SetsPerTile)
+      array_(cfg.l2SetsPerTile, cfg.l2Ways)
 {
     buildTable();
 }
