@@ -38,7 +38,7 @@ class SetStallQueues
     void
     park(std::size_t set, const Msg &msg)
     {
-        std::size_t i = find(set);
+        const std::size_t i = find(set);
         if (i == fifos_.size())
             fifos_.push_back(Fifo{set, {}, 0});
         Fifo &q = fifos_[i];
@@ -67,8 +67,8 @@ class SetStallQueues
         if (parked_ == 0)
             return;
         const std::size_t i = find(set);
-        while (i < fifos_.size() && fifos_[i].head < fifos_[i].items.size() &&
-               can_allocate()) {
+        while (i < fifos_.size() &&
+               fifos_[i].head < fifos_[i].items.size() && can_allocate()) {
             Fifo &q = fifos_[i];
             const Msg msg = q.items[q.head++];
             --parked_;

@@ -466,8 +466,7 @@ TsoccL2::debugSummary()
         if (hist[i])
             os << " " << kStateNames[static_cast<std::size_t>(i)] << "="
                << hist[i];
-    os << " evict=" << evict_.size() << " waitq=" << waiting_.size()
-       << " stalled=" << stalls_.size();
+    os << " evict=" << evict_.size() << " waitq=" << waiting_.size();
     for (Addr a : stuck)
         os << " stuck:0x" << std::hex << a << std::dec << "/"
            << kStateNames[array_.find(a)->state];
