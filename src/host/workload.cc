@@ -255,9 +255,11 @@ Workload::runTest(const gp::Test &test, const ConditionFn &condition)
             break;
         } catch (const sim::WatchdogAbort &) {
             // Livelock watchdog: the event cap fired (replay storms
-            // can self-sustain under extreme conflict). Abandon this
-            // iteration: drop all in-flight events and state; the next
-            // iteration starts from a clean reset.
+            // can self-sustain under extreme conflict), or the system
+            // settled with an L2 request still stalled for a way
+            // (sim::StallDeadlock). Abandon this iteration: drop all
+            // in-flight events and state; the next iteration starts
+            // from a clean reset.
             ++result.watchdogAborts;
             system_.eventQueue().clearPending();
             system_.resetProtocolState();

@@ -60,7 +60,10 @@ struct RunResult
     std::span<const std::uint64_t> preRunCounts;
 
     int iterationsRun = 0;
-    /** Iterations abandoned by the livelock watchdog (event cap). */
+    /**
+     * Iterations abandoned by the livelock watchdog: the event cap, or
+     * an L2 request stranded at quiescence (sim::StallDeadlock).
+     */
     int watchdogAborts = 0;
     std::uint64_t simTicks = 0;
     std::uint64_t eventsExecuted = 0;

@@ -112,9 +112,9 @@ class SetStallQueues
   private:
     struct Fifo
     {
-        std::size_t set;
+        std::size_t set = 0;
         std::vector<Msg> items;
-        std::size_t head;
+        std::size_t head = 0; ///< first request not yet served
     };
 
     /** Index of @p set's FIFO, or fifos_.size() if it has none. */
