@@ -13,7 +13,10 @@
  *
  * Scenarios cover both protocols at two test sizes; events/sec is the
  * DES-kernel dispatch rate (EventQueue::processed), the quantity the
- * typed-event/time-wheel kernel optimizes.
+ * typed-event/time-wheel kernel optimizes. The 1 KiB scenarios never
+ * fill an L2 set; the *-8k ones use the campaigns' default 8 KiB test
+ * memory, which puts 16 candidate lines in each 4-way set, so they
+ * exercise requests stalled for a way (stall-and-wake).
  *
  * Output: JSON (schema below) written to BENCH_sim.json (override with
  * MCVERSI_BENCH_JSON). MCVERSI_BENCH_SCALE scales the per-scenario
@@ -22,8 +25,9 @@
  *   {
  *     "bench": "sim_throughput", "schema": 1,
  *     "scenarios": [{"name", "protocol", "testSize", "iterations",
- *                    "testRuns", "simEvents", "simTicks", "seconds",
- *                    "testsPerSec", "simEventsPerSec", "usPerEvent"},
+ *                    "memSize", "testRuns", "simEvents", "simTicks",
+ *                    "seconds", "testsPerSec", "simEventsPerSec",
+ *                    "usPerEvent"},
  *                   ...],
  *     "aggregate": {"testsPerSec", "simEventsPerSec", "usPerEvent"}
  *   }
@@ -51,16 +55,19 @@ struct Scenario
     sim::Protocol protocol;
     int testSize;
     int iterations;
+    Addr memSize;
     std::uint64_t systemSeed;
     std::uint64_t sourceSeed;
     std::uint64_t testRuns; ///< budget before MCVERSI_BENCH_SCALE
 };
 
 constexpr Scenario kScenarios[] = {
-    {"mesi-96", sim::Protocol::Mesi, 96, 4, 101, 11, 30},
-    {"mesi-256", sim::Protocol::Mesi, 256, 8, 102, 12, 10},
-    {"tsocc-96", sim::Protocol::Tsocc, 96, 4, 103, 13, 30},
-    {"tsocc-256", sim::Protocol::Tsocc, 256, 8, 104, 14, 10},
+    {"mesi-96", sim::Protocol::Mesi, 96, 4, 1024, 101, 11, 30},
+    {"mesi-256", sim::Protocol::Mesi, 256, 8, 1024, 102, 12, 10},
+    {"tsocc-96", sim::Protocol::Tsocc, 96, 4, 1024, 103, 13, 30},
+    {"tsocc-256", sim::Protocol::Tsocc, 256, 8, 1024, 104, 14, 10},
+    {"mesi-256-8k", sim::Protocol::Mesi, 256, 4, 8192, 105, 15, 10},
+    {"tsocc-256-8k", sim::Protocol::Tsocc, 256, 4, 8192, 106, 16, 10},
 };
 
 struct ScenarioResult
@@ -102,7 +109,7 @@ runScenario(const Scenario &sc)
     params.system.seed = sc.systemSeed;
     params.gen.testSize = sc.testSize;
     params.gen.iterations = sc.iterations;
-    params.gen.memSize = 1024;
+    params.gen.memSize = sc.memSize;
     params.workload.iterations = params.gen.iterations;
     params.recordNdt = false;
 
@@ -150,7 +157,7 @@ runScenario(const Scenario &sc)
 std::string
 toJson(const std::vector<ScenarioResult> &results)
 {
-    char buf[256];
+    char buf[512];
     std::string out = "{\n  \"bench\": \"sim_throughput\",\n"
                       "  \"schema\": 1,\n  \"scenarios\": [\n";
     std::uint64_t total_tests = 0;
@@ -163,13 +170,15 @@ toJson(const std::vector<ScenarioResult> &results)
             buf, sizeof(buf),
             "    {\"name\": \"%s\", \"protocol\": \"%s\", "
             "\"testSize\": %d, \"iterations\": %d, "
-            "\"testRuns\": %" PRIu64 ", \"simEvents\": %" PRIu64
-            ", \"simTicks\": %" PRIu64 ", \"seconds\": %.6f, "
+            "\"memSize\": %" PRIu64 ", \"testRuns\": %" PRIu64
+            ", \"simEvents\": %" PRIu64 ", \"simTicks\": %" PRIu64
+            ", \"seconds\": %.6f, "
             "\"testsPerSec\": %.1f, \"simEventsPerSec\": %.0f, "
             "\"usPerEvent\": %.4f}%s\n",
             sc.name,
             sc.protocol == sim::Protocol::Mesi ? "MESI" : "TSO-CC",
-            sc.testSize, sc.iterations, r.testRuns, r.simEvents,
+            sc.testSize, sc.iterations,
+            static_cast<std::uint64_t>(sc.memSize), r.testRuns, r.simEvents,
             r.simTicks, r.seconds, r.testsPerSec(), r.simEventsPerSec(),
             r.usPerEvent(), i + 1 < results.size() ? "," : "");
         out += buf;
@@ -206,7 +215,7 @@ main()
     for (const Scenario &sc : kScenarios) {
         results.push_back(runScenario(sc));
         const ScenarioResult &r = results.back();
-        std::printf("%-10s %8" PRIu64 " runs %12" PRIu64
+        std::printf("%-12s %8" PRIu64 " runs %12" PRIu64
                     " events  %8.3fs  %8.1f tests/s  %10.0f ev/s  "
                     "%.4f us/ev\n",
                     r.scenario->name, r.testRuns, r.simEvents, r.seconds,
