@@ -182,11 +182,11 @@ MesiL2::serveGets(CacheEntry *entry, Addr line, Pid c)
 {
     if (!entry) {
         table_.record(StNP, EvGETS);
-        Msg retry;
-        retry.type = MsgType::GETS;
-        retry.line = line;
-        retry.requester = c;
-        startFetch(line, c, false, retry);
+        Msg request;
+        request.type = MsgType::GETS;
+        request.line = line;
+        request.requester = c;
+        startFetch(line, c, false, request);
         return;
     }
     if (entry->state == StMT) {
@@ -228,11 +228,11 @@ void
 MesiL2::serveGetx(CacheEntry *entry, Addr line, Pid c)
 {
     if (!entry) {
-        Msg retry;
-        retry.type = MsgType::GETX;
-        retry.line = line;
-        retry.requester = c;
-        startFetch(line, c, true, retry);
+        Msg request;
+        request.type = MsgType::GETX;
+        request.line = line;
+        request.requester = c;
+        startFetch(line, c, true, request);
         return;
     }
     array_.touch(*entry, eq_.now());
