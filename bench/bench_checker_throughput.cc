@@ -28,7 +28,8 @@
  *
  * Schema 3 adds a streaming section comparing the post-hoc pipeline
  * (replay + finalize + full check) against the StreamingChecker
- * (events consumed by the recording sink + checkStreamed), over the
+ * (events consumed by the recording sink + finalize + checkStreamed,
+ * which skips the cycle analysis on a clean stream), over the
  * consistent scenarios plus a large-32k shape, and over corrupted
  * variants where a stale read closes a two-event po-loc/fr cycle
  * mid-trace: there the streaming side stops recording at the violating
@@ -537,7 +538,8 @@ struct StreamingPair
 /**
  * Consistent-trace cell: post-hoc side replays and fully checks every
  * repeat; streaming side consumes events through the sink during
- * recording and checkStreamed() short-circuits the cycle analysis.
+ * recording, and checkStreamed() finalizes the witness but skips the
+ * cycle analysis.
  */
 StreamingPair
 runStreamingConsistent(const Scenario &shape, int repeats)

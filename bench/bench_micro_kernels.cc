@@ -1,8 +1,8 @@
 /**
  * @file
  * google-benchmark micro-benchmarks for the hot kernels: the axiomatic
- * checker (per-iteration cost, §4.1), witness recording, relation
- * algebra, the selective crossover, and the RNG.
+ * checker (per-iteration cost, §4.1), witness recording, the
+ * selective crossover, and the RNG.
  */
 
 #include <benchmark/benchmark.h>
@@ -77,19 +77,6 @@ BM_WitnessRecording(benchmark::State &state)
     }
 }
 BENCHMARK(BM_WitnessRecording);
-
-void
-BM_RelationTransitiveClosure(benchmark::State &state)
-{
-    mc::Relation r;
-    Rng rng(3);
-    for (int i = 0; i < 200; ++i)
-        r.insert(static_cast<mc::EventId>(rng.below(100)),
-                 static_cast<mc::EventId>(rng.below(100)));
-    for (auto _ : state)
-        benchmark::DoNotOptimize(r.transitiveClosure());
-}
-BENCHMARK(BM_RelationTransitiveClosure);
 
 void
 BM_SelectiveCrossover(benchmark::State &state)

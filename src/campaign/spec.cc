@@ -1,5 +1,6 @@
 #include "campaign/spec.hh"
 
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -43,7 +44,11 @@ parseSize(const std::string &key, const std::string &value)
 {
     if (!value.empty() &&
         (value.back() == 'k' || value.back() == 'K')) {
-        return parseU64(key, value.substr(0, value.size() - 1)) * 1024;
+        const std::uint64_t kib =
+            parseU64(key, value.substr(0, value.size() - 1));
+        if (kib > std::numeric_limits<std::uint64_t>::max() / 1024)
+            badValue(key, value, "too large");
+        return kib * 1024;
     }
     return parseU64(key, value);
 }

@@ -1,7 +1,6 @@
 #include "host/workload.hh"
 
 #include <chrono>
-#include <stdexcept>
 
 #include "memconsistency/models/engine.hh"
 #include "sim/fault.hh"
@@ -74,15 +73,8 @@ Workload::syncStreamingChecker()
     }
     if (streaming_ != nullptr)
         return;
-    const auto *model =
-        dynamic_cast<const mc::ProfileModel *>(&checker_.arch());
-    if (model == nullptr) {
-        throw std::invalid_argument(
-            "check-mode=streaming requires a profile-interpreted model "
-            "(ProfileModel); model '" +
-            checker_.arch().name() + "' is not one");
-    }
-    streaming_ = std::make_unique<mc::StreamingChecker>(model->profile());
+    streaming_ = std::make_unique<mc::StreamingChecker>(
+        checker_.arch().profile());
 }
 
 std::vector<sim::Program>

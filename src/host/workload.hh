@@ -117,9 +117,8 @@ class Workload
         bool checkEveryIteration = true;
         /**
          * Post-hoc (default) or streaming checking. Streaming consumes
-         * events as the simulation records them, stops the iteration
-         * at the violating event, and requires a profile-interpreted
-         * model (ProfileModel).
+         * events as the simulation records them and stops the
+         * iteration at the violating event.
          */
         mc::CheckMode checkMode = mc::CheckMode::Posthoc;
         /**

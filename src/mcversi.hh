@@ -42,7 +42,6 @@
 #include "memconsistency/models/engine.hh"
 #include "memconsistency/models/profile.hh"
 #include "memconsistency/models/registry.hh"
-#include "memconsistency/relation.hh"
 
 #include "sim/bugs.hh"
 #include "sim/config.hh"

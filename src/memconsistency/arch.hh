@@ -1,61 +1,23 @@
 /**
  * @file
- * Architecture (memory consistency model) interface.
+ * Memory consistency model factories.
  *
- * Following the herding cats framework, an architecture is defined by
- * which program-order pairs it preserves (ppo), which fences it provides,
- * and whether internal read-from participates in global ordering. The
- * checker (checker.hh) combines these with the observed conflict orders.
+ * Following the herding cats framework, a model is defined by which
+ * program-order pairs it preserves (ppo), which fences it provides, and
+ * whether internal read-from participates in global ordering. Every
+ * model is a declarative ModelProfile interpreted by ProfileModel
+ * (models/engine.hh); the checker (checker.hh) combines its edges with
+ * the observed conflict orders.
  */
 
 #ifndef MCVERSI_MEMCONSISTENCY_ARCH_HH
 #define MCVERSI_MEMCONSISTENCY_ARCH_HH
 
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "memconsistency/event.hh"
-#include "memconsistency/execwitness.hh"
-#include "memconsistency/graph.hh"
+#include "memconsistency/models/engine.hh"
 
 namespace mcversi::mc {
-
-/**
- * A hardware memory consistency model.
- *
- * Implementations add generator edges for ppo and fence orderings into a
- * cycle graph; the edge set must have the same transitive closure as the
- * model's full ppo/fence relation when combined with the communication
- * edges the checker adds.
- */
-class Architecture
-{
-  public:
-    virtual ~Architecture() = default;
-
-    /** Short model name, e.g. "TSO". */
-    virtual std::string name() const = 0;
-
-    /**
-     * Add preserved-program-order and fence edges for one thread.
-     *
-     * @param ew     the witness (for event attributes)
-     * @param thread event ids of one thread, in program order
-     * @param g      graph to add edges (and fence nodes) to
-     */
-    virtual void addProgramOrderEdges(const ExecWitness &ew,
-                                      const std::vector<EventId> &thread,
-                                      CycleGraph &g) const = 0;
-
-    /**
-     * Whether internal (same-thread) rf edges participate in the global
-     * happens-before check. TSO permits reading own stores early (store
-     * forwarding), so only external rf is globally ordered; SC orders
-     * all rf.
-     */
-    virtual bool ghbIncludesRfi() const = 0;
-};
 
 /**
  * Instantiate a registered consistency model (models/registry.hh) by
@@ -63,16 +25,16 @@ class Architecture
  * std::invalid_argument listing the registered models on an unknown
  * name.
  */
-std::unique_ptr<Architecture> makeModel(const std::string &name);
+ProfileModel makeModel(const std::string &name);
 
 /** Sequential Consistency: ppo = po, all rf global. */
-std::unique_ptr<Architecture> makeSc();
+ProfileModel makeSc();
 
 /**
  * Total Store Order (x86-style): ppo = po minus write-to-read pairs;
  * atomic RMW instructions imply full fences; internal rf not global.
  */
-std::unique_ptr<Architecture> makeTso();
+ProfileModel makeTso();
 
 } // namespace mcversi::mc
 

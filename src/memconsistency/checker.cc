@@ -70,12 +70,6 @@ Checker::enableVerdictCache(VerdictCache::Config config)
     cache_ = std::make_unique<VerdictCache>(config);
 }
 
-void
-Checker::disableVerdictCache()
-{
-    cache_.reset();
-}
-
 CheckResult
 Checker::check(ExecWitness &ew) const
 {
@@ -159,36 +153,6 @@ Checker::checkStreamed(ExecWitness &ew, const StreamingChecker &sc) const
         // Violation past the ring's reach: render the streaming-native
         // verdict over what remains, flagged with the truncation note.
         return sc.earlyStopResult(ew);
-    }
-
-    // Fast path: the stream consumed every recorded event, resolved
-    // every conflict order online, and closed no cycle -- which proves
-    // the finalized witness would be anomaly-free and pass the batch
-    // analysis. finalize() and the full check are skipped entirely;
-    // this is where streaming mode earns its keep on clean executions.
-    if (!sc.violationDetected() && sc.streamComplete() &&
-        !ew.finalized() && sc.eventsConsumed() == ew.numEvents()) {
-#ifndef NDEBUG
-        // Cross-check the completeness claim against the batch
-        // pipeline (Debug builds only).
-        ew.finalize();
-        assert(ew.anomaly() == WitnessAnomaly::None &&
-               "clean complete stream disagrees with witness anomaly");
-        assert(fullCheck(ew).ok() &&
-               "streaming checker missed a violation");
-#endif
-        if (cache_ != nullptr) {
-            // The canonical signature hashes resolved conflict orders,
-            // so the cache still costs a finalize().
-            ew.finalize();
-            const WitnessSignature sig = signatureScratch_.compute(ew);
-            std::uint8_t verdict = 0;
-            if (!cache_->lookup(sig, verdict)) {
-                cache_->insert(sig, static_cast<std::uint8_t>(
-                                        CheckResult::Kind::Ok));
-            }
-        }
-        return {};
     }
 
     ew.finalize();
@@ -347,9 +311,9 @@ Checker::checkGhb(const ExecWitness &ew) const
     g.reset(ew.numEvents());
 
     for (Pid pid : ew.threads())
-        arch_->addProgramOrderEdges(ew, ew.threadEvents(pid), g);
+        model_.addProgramOrderEdges(ew, ew.threadEvents(pid), g);
 
-    const bool include_rfi = arch_->ghbIncludesRfi();
+    const bool include_rfi = model_.ghbIncludesRfi();
     const auto num_events = static_cast<EventId>(ew.numEvents());
     for (EventId r = 0; r < num_events; ++r) {
         const EventId src = ew.rfSource(r);
@@ -366,7 +330,7 @@ Checker::checkGhb(const ExecWitness &ew) const
 
     if (auto cyc = g.findCycle()) {
         return cycleResult(CheckResult::Kind::GhbViolation, ew, *cyc,
-                           "ghb(" + arch_->name() + ")");
+                           "ghb(" + model_.name() + ")");
     }
     return {};
 }

@@ -13,12 +13,13 @@
  *
  * each a single DFS over generator edges.
  *
- * The checker runs once per iteration of every test-run, so it never
- * materializes intermediate Relations: communication edges (rf, co, and
- * fr -- the latter derived exactly once per check) stream from the
- * witness's dense arrays straight into two scratch CycleGraphs owned by
- * the checker and reused across checks. A Checker is therefore NOT
- * thread-safe; concurrent campaigns own one checker each.
+ * The checker runs once per iteration of every test-run, so
+ * communication edges (rf, co, and fr -- the latter derived exactly
+ * once per check) stream from the witness's dense rfSource() /
+ * coPredecessor() / coSuccessor() arrays straight into two scratch
+ * CycleGraphs owned by the checker and reused across checks. A Checker
+ * is therefore NOT thread-safe; concurrent campaigns own one checker
+ * each.
  *
  * Optionally the checker memoizes verdicts per witness equivalence
  * class (enableVerdictCache): campaigns re-observe the same
@@ -84,16 +85,15 @@ struct CheckResult
     static const char *kindName(Kind k);
 };
 
-/** Checks executions against one architecture. */
+/** Checks executions against one consistency model. */
 class Checker
 {
   public:
-    explicit Checker(std::unique_ptr<Architecture> arch)
-        : arch_(std::move(arch))
+    explicit Checker(ProfileModel model) : model_(std::move(model))
     {
         // Key memoized verdicts by model: a verdict cached under one
-        // architecture must never short-circuit a check under another.
-        signatureScratch_.setModelSalt(modelSalt(arch_->name()));
+        // model must never short-circuit a check under another.
+        signatureScratch_.setModelSalt(modelSalt(model_.name()));
     }
 
     /**
@@ -103,16 +103,17 @@ class Checker
     CheckResult check(ExecWitness &ew) const;
 
     /**
-     * Settle a fully-streamed witness: like check(), but the cycle
-     * analysis is skipped when the streaming checker saw a clean
-     * stream (the incremental graphs already proved acyclicity). A
-     * dirty stream falls back to the full analysis so diagnostics are
-     * byte-identical to post-hoc checking. @p sc must have consumed
-     * every recorded event of @p ew under this checker's model;
-     * anomaly handling and the verdict cache behave exactly as in
-     * check(). A windowed witness (ew.window() != 0) cannot finalize:
-     * a clean stream settles from the streaming verdict alone (with a
-     * truncation note when constraints were dropped), a violation with
+     * Settle a fully-streamed witness: like check() (the witness is
+     * finalized, and anomaly handling and the verdict cache behave
+     * exactly as there), but the cycle analysis is skipped when the
+     * streaming checker saw a clean stream (the incremental graphs
+     * already proved acyclicity). A dirty stream falls back to the
+     * full analysis so diagnostics are byte-identical to post-hoc
+     * checking. @p sc must have consumed every recorded event of @p ew
+     * under this checker's model. A windowed witness (ew.window() !=
+     * 0) cannot finalize: a clean stream settles from the streaming
+     * verdict alone (with a truncation note when constraints were
+     * dropped), a violation with
      * the whole stream still in the ring replays it into a full-mode
      * scratch witness for byte-identical diagnostics, and a violation
      * past the ring's reach reports the streaming-native verdict
@@ -131,12 +132,11 @@ class Checker
      * witnesses always bypass the cache.
      */
     void enableVerdictCache(VerdictCache::Config config = {});
-    void disableVerdictCache();
 
     /** The memoization cache, or nullptr when disabled. */
     VerdictCache *verdictCache() const { return cache_.get(); }
 
-    const Architecture &arch() const { return *arch_; }
+    const ProfileModel &arch() const { return model_; }
 
   private:
     /** The three-phase cycle analysis, bypassing the verdict cache. */
@@ -155,7 +155,7 @@ class Checker
                                    const std::vector<CycleGraph::Node> &cyc,
                                    const std::string &constraint);
 
-    std::unique_ptr<Architecture> arch_;
+    ProfileModel model_;
 
     // Per-check scratch, reused so steady-state checks are
     // allocation-free (the reason a Checker is not thread-safe).

@@ -327,30 +327,6 @@ ExecWitness::finalize()
     }
 }
 
-void
-ExecWitness::buildConflictRelations() const
-{
-    // rf()/co() are derived views over the dense arrays, materialized
-    // on first access only: the hot path (checker, NDT accumulation,
-    // litmus conditions) streams the arrays directly and never pays
-    // for the Relations.
-    if (relationsBuilt_)
-        return;
-    relationsBuilt_ = true;
-    const auto num_events = static_cast<EventId>(events_.size());
-    for (EventId e = 0; e < num_events; ++e) {
-        if (events_[static_cast<std::size_t>(e)].isRead()) {
-            const EventId src = rfSrc_[static_cast<std::size_t>(e)];
-            if (src != kNoEvent)
-                rf_.insert(src, e);
-        } else {
-            const EventId prev = coPred_[static_cast<std::size_t>(e)];
-            if (prev != kNoEvent)
-                co_.insert(prev, e);
-        }
-    }
-}
-
 const std::vector<EventId> &
 ExecWitness::threadEvents(Pid pid) const
 {
@@ -381,45 +357,6 @@ ExecWitness::rfSource(EventId r) const
     return rfSrc_[static_cast<std::size_t>(r)];
 }
 
-Relation
-ExecWitness::computeFrImmediate() const
-{
-    ++frMaterializations_;
-    Relation fr;
-    const auto num_events = static_cast<EventId>(events_.size());
-    for (EventId r = 0; r < num_events; ++r) {
-        if (!events_[static_cast<std::size_t>(r)].isRead())
-            continue;
-        const EventId w = rfSrc_[static_cast<std::size_t>(r)];
-        if (w == kNoEvent)
-            continue;
-        const EventId succ = coSuccessor(w);
-        if (succ != kNoEvent)
-            fr.insert(r, succ);
-    }
-    return fr;
-}
-
-Relation
-ExecWitness::computeFr() const
-{
-    ++frMaterializations_;
-    Relation fr;
-    const auto num_events = static_cast<EventId>(events_.size());
-    for (EventId r = 0; r < num_events; ++r) {
-        if (!events_[static_cast<std::size_t>(r)].isRead())
-            continue;
-        const EventId w = rfSrc_[static_cast<std::size_t>(r)];
-        if (w == kNoEvent)
-            continue;
-        for (EventId succ = coSuccessor(w); succ != kNoEvent;
-             succ = coSuccessor(succ)) {
-            fr.insert(r, succ);
-        }
-    }
-    return fr;
-}
-
 EventId
 ExecWitness::initEvent(Addr addr) const
 {
@@ -446,9 +383,6 @@ ExecWitness::reset()
     addrTable_.clear();
     addrTableIds_.clear();
     addrIdOf_.clear();
-    rf_.clear();
-    co_.clear();
-    relationsBuilt_ = false;
     coSucc_.clear();
     coPred_.clear();
     rfSrc_.clear();
@@ -457,7 +391,6 @@ ExecWitness::reset()
     rmwPairs_.clear();
     anomaly_ = WitnessAnomaly::None;
     anomalyInfo_.clear();
-    frMaterializations_ = 0;
     finalized_ = false;
     // window_ survives (like sink_); the ring restarts empty.
     recorded_ = 0;

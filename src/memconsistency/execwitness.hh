@@ -44,10 +44,10 @@
 #include <cassert>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "memconsistency/event.hh"
-#include "memconsistency/relation.hh"
 
 namespace mcversi::mc {
 
@@ -183,28 +183,6 @@ class ExecWitness
     /** All thread ids with at least one event, ascending. */
     const std::vector<Pid> &threads() const { return threadIds_; }
 
-    /**
-     * rf: producing write -> read. A derived view over rfSource(),
-     * materialized lazily on first access after finalize() (the hot
-     * path streams the dense arrays and never builds it).
-     */
-    const Relation &
-    rf() const
-    {
-        if (finalized_)
-            buildConflictRelations();
-        return rf_;
-    }
-
-    /** Immediate co edges: write -> next write to same address. */
-    const Relation &
-    co() const
-    {
-        if (finalized_)
-            buildConflictRelations();
-        return co_;
-    }
-
     /** Immediate co successor of write @p w, or kNoEvent. */
     EventId coSuccessor(EventId w) const;
 
@@ -213,25 +191,6 @@ class ExecWitness
 
     /** Producing write of read @p r, or kNoEvent. */
     EventId rfSource(EventId r) const;
-
-    /**
-     * fr (from-read) as immediate edges: read -> first co-successor of
-     * its rf source. Together with the co chain this generates full fr
-     * transitively.
-     *
-     * Materializes a fresh Relation; the checker streams the same edges
-     * from the dense arrays instead (see frMaterializations()).
-     */
-    Relation computeFrImmediate() const;
-
-    /** Full fr: read -> every co-successor of its rf source. */
-    Relation computeFr() const;
-
-    /**
-     * Number of computeFrImmediate()/computeFr() calls since the last
-     * reset(). Lets tests assert the checker never materializes fr.
-     */
-    int frMaterializations() const { return frMaterializations_; }
 
     /** Init event for @p addr, or kNoEvent if never referenced. */
     EventId initEvent(Addr addr) const;
@@ -293,8 +252,6 @@ class ExecWitness
     void flagAnomaly(WitnessAnomaly kind, std::string info);
     /** Sort per-thread event lists by (poi, sub, id) if needed. */
     void ensurePoSorted() const;
-    /** Materialize rf_/co_ from the dense arrays (idempotent). */
-    void buildConflictRelations() const;
 
     std::vector<Event> events_;
     /** Per-thread event lists, indexed directly by Pid. */
@@ -314,10 +271,6 @@ class ExecWitness
     std::vector<AddrId> addrTableIds_;
     /** Per-event dense address id. */
     std::vector<AddrId> addrIdOf_;
-    /** Lazily-built Relation views of rf/co (see rf()). */
-    mutable Relation rf_;
-    mutable Relation co_;
-    mutable bool relationsBuilt_ = false;
     /**
      * Dense per-event conflict-order neighbours, kNoEvent if absent.
      * Grown alongside events_; filled by finalize().
@@ -333,7 +286,6 @@ class ExecWitness
     std::vector<std::pair<EventId, EventId>> rmwPairs_;
     WitnessAnomaly anomaly_ = WitnessAnomaly::None;
     std::string anomalyInfo_;
-    mutable int frMaterializations_ = 0;
     /** Recording observer; survives reset() (see setEventSink()). */
     WitnessEventSink *sink_ = nullptr;
     /** Ring size in events; 0 = unbounded. Survives reset(). */

@@ -2,7 +2,7 @@
  * @file
  * Shared ppo/fence constraint engine over declarative model profiles.
  *
- * One Architecture implementation interprets any valid ModelProfile.
+ * One ProfileModel interprets any valid ModelProfile.
  * The engine generalizes the chain construction the hand-written TSO
  * model used: each preserved order is realized by O(events) generator
  * edges whose transitive closure equals the model's full ppo/fence
@@ -28,25 +28,49 @@
 #ifndef MCVERSI_MEMCONSISTENCY_MODELS_ENGINE_HH
 #define MCVERSI_MEMCONSISTENCY_MODELS_ENGINE_HH
 
-#include "memconsistency/arch.hh"
+#include <string>
+#include <vector>
+
+#include "memconsistency/event.hh"
+#include "memconsistency/execwitness.hh"
+#include "memconsistency/graph.hh"
 #include "memconsistency/models/profile.hh"
 
 namespace mcversi::mc {
 
-/** Architecture defined by interpreting a ModelProfile. */
-class ProfileModel final : public Architecture
+/**
+ * A hardware memory consistency model, defined by interpreting a
+ * ModelProfile. Its generator edges have the same transitive closure
+ * as the model's full ppo/fence relation when combined with the
+ * communication edges the checker adds.
+ */
+class ProfileModel
 {
   public:
     /** Validates the profile (throws std::invalid_argument). */
     explicit ProfileModel(ModelProfile profile);
 
-    std::string name() const override { return profile_.name; }
+    /** Short model name, e.g. "TSO". */
+    std::string name() const { return profile_.name; }
 
+    /**
+     * Add preserved-program-order and fence edges for one thread.
+     *
+     * @param ew     the witness (for event attributes)
+     * @param thread event ids of one thread, in program order
+     * @param g      graph to add edges (and fence nodes) to
+     */
     void addProgramOrderEdges(const ExecWitness &ew,
                               const std::vector<EventId> &thread,
-                              CycleGraph &g) const override;
+                              CycleGraph &g) const;
 
-    bool ghbIncludesRfi() const override { return profile_.rfiGlobal; }
+    /**
+     * Whether internal (same-thread) rf edges participate in the global
+     * happens-before check. TSO permits reading own stores early (store
+     * forwarding), so only external rf is globally ordered; SC orders
+     * all rf.
+     */
+    bool ghbIncludesRfi() const { return profile_.rfiGlobal; }
 
     const ModelProfile &profile() const { return profile_; }
 

@@ -3,7 +3,7 @@
 #include <stdexcept>
 
 #include "common/strings.hh"
-#include "memconsistency/models/engine.hh"
+#include "memconsistency/arch.hh"
 
 namespace mcversi::mc {
 
@@ -126,19 +126,19 @@ modelNamesJoined()
     return out;
 }
 
-std::unique_ptr<Architecture>
+ProfileModel
 makeModel(const std::string &name)
 {
-    return std::make_unique<ProfileModel>(modelProfile(name));
+    return ProfileModel(modelProfile(name));
 }
 
-std::unique_ptr<Architecture>
+ProfileModel
 makeSc()
 {
     return makeModel("sc");
 }
 
-std::unique_ptr<Architecture>
+ProfileModel
 makeTso()
 {
     return makeModel("tso");

@@ -34,12 +34,13 @@
  * iteration to quiescence.
  *
  * Verdict parity: Checker::checkStreamed() composes this object with
- * the post-hoc pipeline -- witness anomalies and the model-salted
- * verdict cache behave exactly as in Checker::check(), a clean stream
- * short-circuits the full cycle analysis, and a dirty stream falls
- * back to the full analysis so diagnostics stay byte-identical to
- * post-hoc checking. earlyStopResult() renders the streaming-native
- * verdict for stopped-early (un-finalizable) witness prefixes.
+ * the post-hoc pipeline -- the witness is still finalized, witness
+ * anomalies and the model-salted verdict cache behave exactly as in
+ * Checker::check(), a clean stream skips only the cycle analysis, and
+ * a dirty stream falls back to the full analysis so diagnostics stay
+ * byte-identical to post-hoc checking. earlyStopResult() renders the
+ * streaming-native verdict for stopped-early (un-finalizable) witness
+ * prefixes.
  *
  * All state is capacity-preserving and generation-stamped: begin() is
  * O(touched state) and steady-state iterations allocate nothing.
@@ -179,10 +180,10 @@ class StreamingChecker final : public WitnessEventSink
     /**
      * True when every consumed read value and overwritten value has
      * resolved to a producing write (or init). A clean *and* complete
-     * stream (every recorded event consumed) proves the finalized
-     * witness would be anomaly-free and pass the batch analysis, so
-     * Checker::checkStreamed() skips finalize() and the full check
-     * entirely on that path.
+     * stream (every recorded event consumed) proves the witness would
+     * be anomaly-free and pass the batch analysis, so
+     * Checker::checkStreamed() settles a clean, complete windowed
+     * stream without replaying it.
      */
     bool streamComplete() const { return pending_ == 0; }
 

@@ -43,24 +43,6 @@ EventQueue::commit(Tick when, Event &ev)
 }
 
 void
-EventQueue::schedule(Tick when, Callback cb)
-{
-    std::uint32_t slot;
-    if (!thunkFree_.empty()) {
-        slot = thunkFree_.back();
-        thunkFree_.pop_back();
-        thunkSlots_[slot] = std::move(cb);
-    } else {
-        slot = static_cast<std::uint32_t>(thunkSlots_.size());
-        pushCounted(thunkSlots_, std::move(cb));
-    }
-    Event ev{};
-    ev.kind = Kind::Thunk;
-    ev.thunk = ThunkPayload{slot};
-    commit(when, ev);
-}
-
-void
 EventQueue::migrateOverflow()
 {
     while (!overflow_.empty() &&
@@ -107,12 +89,6 @@ void
 EventQueue::dispatch(Event &ev)
 {
     switch (ev.kind) {
-      case Kind::Thunk: {
-        Callback cb = std::move(thunkSlots_[ev.thunk.slot]);
-        pushCounted(thunkFree_, std::uint32_t{ev.thunk.slot});
-        cb();
-        break;
-      }
       case Kind::Fn:
         ev.fn.fn(ev.fn.obj, ev.fn.a, ev.fn.b, ev.fn.c, ev.fn.d);
         break;
@@ -178,10 +154,6 @@ void
 EventQueue::reclaim(Event &ev)
 {
     switch (ev.kind) {
-      case Kind::Thunk:
-        thunkSlots_[ev.thunk.slot] = nullptr;
-        pushCounted(thunkFree_, std::uint32_t{ev.thunk.slot});
-        break;
       case Kind::Deliver:
         pool_->release(ev.deliver.msg);
         break;

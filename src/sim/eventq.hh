@@ -14,8 +14,7 @@
  *    The hot kinds are message delivery and delayed network send
  *    (payload = a MsgPool-owned Msg) and a generic
  *    function-pointer-plus-args record covering core wakeups/retries
- *    and cache responses. std::function thunks remain as a cold-path
- *    kind whose slots are recycled from a freelist.
+ *    and cache responses.
  *  - Scheduling uses a bucketed time wheel: simulated latencies are
  *    small bounded constants, so an event lands in bucket
  *    (tick mod kWheelSize) in O(1); a 1-bit-per-bucket occupancy map
@@ -39,8 +38,8 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/types.hh"
@@ -56,11 +55,8 @@ class Network;
 class EventQueue
 {
   public:
-    /** Cold-path generic callback. */
-    using Callback = std::function<void()>;
-
     /**
-     * Hot-path typed callback: a free/static trampoline plus an
+     * Typed callback: a free/static trampoline plus an
      * object and up to four integral payload words (enough for a
      * full cache response: id, value, overwritten, flag).
      */
@@ -72,17 +68,7 @@ class EventQueue
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
-    /** Schedule @p cb at absolute tick @p when (cold path). */
-    void schedule(Tick when, Callback cb);
-
-    /** Schedule @p cb @p delta ticks from now (cold path). */
-    void
-    scheduleIn(Tick delta, Callback cb)
-    {
-        schedule(now_ + delta, std::move(cb));
-    }
-
-    /** Schedule a typed function-pointer event (hot path). */
+    /** Schedule a typed function-pointer event. */
     void
     scheduleFn(Tick when, EventFn fn, void *obj, std::uint64_t a = 0,
                std::uint64_t b = 0, std::uint64_t c = 0,
@@ -118,7 +104,7 @@ class EventQueue
     /**
      * Inject pool-owned @p msg into @p net at @p when (delayed send:
      * network latency, FIFO ordering and the jitter draw all happen at
-     * injection time, exactly as if send() were called from a thunk).
+     * injection time, exactly as if send() were called at @p when).
      */
     void
     scheduleNetSend(Tick when, Network *net, Msg *msg)
@@ -193,16 +179,11 @@ class EventQueue
 
   private:
     enum class Kind : std::uint8_t {
-        Thunk,   ///< cold: pooled std::function slot
         Fn,      ///< typed trampoline + args
         Deliver, ///< handler->handleMsg(*msg), then release msg
         NetSend, ///< net->send(msg) (delayed injection)
     };
 
-    struct ThunkPayload
-    {
-        std::uint32_t slot;
-    };
     struct FnPayload
     {
         EventFn fn;
@@ -224,9 +205,8 @@ class EventQueue
     {
         Tick when = 0;
         std::uint64_t seq = 0;
-        Kind kind = Kind::Thunk;
+        Kind kind = Kind::Fn;
         union {
-            ThunkPayload thunk;
             FnPayload fn;
             DeliverPayload deliver;
             NetSendPayload netSend;
@@ -300,9 +280,6 @@ class EventQueue
     std::array<Bucket, kWheelSize> buckets_{};
     std::array<std::uint64_t, kWheelSize / 64> occupancy_{};
     std::vector<Event> overflow_; ///< min-heap on (when, seq)
-
-    std::vector<Callback> thunkSlots_;
-    std::vector<std::uint32_t> thunkFree_;
 
     std::unique_ptr<MsgPool> pool_;
 

@@ -22,6 +22,7 @@
 #define MCVERSI_SIM_MESI_MESI_L1_HH
 
 #include <deque>
+#include <functional>
 #include <memory>
 #include <unordered_map>
 

@@ -25,6 +25,7 @@
 #define MCVERSI_SIM_MESI_MESI_L2_HH
 
 #include <deque>
+#include <functional>
 #include <unordered_map>
 
 #include "common/rng.hh"

@@ -170,7 +170,6 @@ TsoccL1::applySelfInvRule(const TsMeta &meta, Addr except_line)
         return; // Own writes need no self-invalidation.
 
     bool newer;
-    bool strictly_newer = false;
     if (!meta.valid()) {
         // No metadata means the line has never been written (the L2's
         // directory store persists metadata across evictions), so the
@@ -185,14 +184,10 @@ TsoccL1::applySelfInvRule(const TsMeta &meta, Addr except_line)
         const bool ts_newer = (cfg_.bug == BugId::TsoccCompare)
                                   ? (meta.ts > seen.ts)
                                   : (meta.ts >= seen.ts);
-        if (cfg_.bug == BugId::TsoccNoEpochIds) {
+        if (cfg_.bug == BugId::TsoccNoEpochIds)
             newer = !seen.valid || ts_newer;
-            strictly_newer = !seen.valid || meta.ts > seen.ts;
-        } else {
+        else
             newer = !seen.valid || meta.epoch != seen.epoch || ts_newer;
-            strictly_newer = !seen.valid || meta.epoch != seen.epoch ||
-                             meta.ts > seen.ts;
-        }
         // Update the last-seen table.
         if (!seen.valid || meta.epoch != seen.epoch) {
             if (cfg_.bug == BugId::TsoccNoEpochIds) {
@@ -207,7 +202,6 @@ TsoccL1::applySelfInvRule(const TsMeta &meta, Addr except_line)
             seen.ts = meta.ts;
         }
     }
-    (void)strictly_newer;
     if (newer) {
         // In-flight fills are always flagged: an equality-triggered
         // sweep (timestamp groups) can still cross a fill whose data

@@ -30,6 +30,7 @@
 #define MCVERSI_SIM_TSOCC_TSOCC_L1_HH
 
 #include <deque>
+#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>

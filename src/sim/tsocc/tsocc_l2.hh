@@ -18,6 +18,7 @@
 #define MCVERSI_SIM_TSOCC_TSOCC_L2_HH
 
 #include <deque>
+#include <functional>
 #include <string>
 #include <unordered_map>
 

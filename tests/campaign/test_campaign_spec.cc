@@ -118,6 +118,23 @@ TEST(CampaignSpec, KeyValueSettersParse)
     EXPECT_EQ(spec.seed, 16u);
 }
 
+TEST(CampaignSpec, SizeSuffixOverflowRejected)
+{
+    // 18014398509481984 KiB is 2^64 bytes; one past the largest
+    // representable size must not wrap around to a tiny one.
+    CampaignSpec spec;
+    spec.set("mem-size=18014398509481983k");
+    EXPECT_EQ(spec.memSize, Addr{18014398509481983u} * 1024u);
+    EXPECT_THROW(spec.set("mem-size=18014398509481985k"),
+                 std::invalid_argument);
+    EXPECT_THROW(spec.set("mem-size=18014398509481984K"),
+                 std::invalid_argument);
+    EXPECT_THROW(spec.set("check-cache=18014398509481985k"),
+                 std::invalid_argument);
+    EXPECT_THROW(spec.set("witness-window=18014398509481985k"),
+                 std::invalid_argument);
+}
+
 TEST(CampaignSpec, UnknownKeysRejected)
 {
     CampaignSpec spec;

@@ -95,8 +95,9 @@ TEST(RandGen, ConstrainedNodeFallsBackWhenEmpty)
     Rng rng(6);
     mcversi::AddrSet empty;
     Node n = gen.randomNodeConstrained(rng, empty);
-    if (n.op.isMem())
+    if (n.op.isMem()) {
         EXPECT_LT(n.op.addr, p.memSize);
+    }
 }
 
 TEST(RandGen, DeterministicGivenSeed)

@@ -229,7 +229,7 @@ TEST(CheckerCacheDifferential, VerdictsAreKeyedByModel)
 
     // Positive control: re-fingerprinting with the TSO salt hits.
     mc::SignatureBuilder builder;
-    builder.setModelSalt(mc::modelSalt(mc::makeModel("tso")->name()));
+    builder.setModelSalt(mc::modelSalt(mc::makeModel("tso").name()));
     std::uint8_t verdict = 0xff;
     ASSERT_TRUE(tso.verdictCache()->lookup(builder.compute(ew), verdict));
     EXPECT_EQ(verdict,
@@ -237,7 +237,7 @@ TEST(CheckerCacheDifferential, VerdictsAreKeyedByModel)
 
     // The same witness under the RMO salt belongs to a different
     // equivalence class and must not see TSO's verdict.
-    builder.setModelSalt(mc::modelSalt(mc::makeModel("rmo")->name()));
+    builder.setModelSalt(mc::modelSalt(mc::makeModel("rmo").name()));
     EXPECT_FALSE(
         tso.verdictCache()->lookup(builder.compute(ew), verdict));
 
@@ -245,7 +245,7 @@ TEST(CheckerCacheDifferential, VerdictsAreKeyedByModel)
     // two registered models can share a signature space.
     std::vector<std::uint64_t> salts;
     for (const std::string &name : mc::modelNames()) {
-        salts.push_back(mc::modelSalt(mc::makeModel(name)->name()));
+        salts.push_back(mc::modelSalt(mc::makeModel(name).name()));
         EXPECT_NE(salts.back(), 0u) << name;
     }
     for (std::size_t i = 0; i < salts.size(); ++i)

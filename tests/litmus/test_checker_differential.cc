@@ -2,11 +2,12 @@
  * @file
  * Differential test for the flattened witness/checker hot path.
  *
- * A reference checker re-implements the pre-flattening algorithm over
- * the witness's *materialized* relations (rf()/co() Relations,
- * computeFrImmediate(), hash-map po-loc tracking) and plain adjacency
- * lists. The production Checker must agree with it on the verdict kind
- * for:
+ * A reference checker re-implements the checking algorithm with fresh
+ * graphs per phase, hash-map po-loc tracking, and its own derivation of
+ * *full* fr (every co-successor of a read's rf source, walked over a
+ * successor list it builds from coPredecessor()), so production's
+ * immediate-fr shortcut is checked rather than shared. The production
+ * Checker must agree with it on the verdict kind for:
  *
  *   - all 38 entries of the generated x86-TSO golden litmus suite
  *     (forbidden outcome and sequential execution of each), and
@@ -36,15 +37,15 @@ using namespace mcversi::litmus;
 namespace {
 
 /**
- * The pre-flattening checker algorithm: fresh graphs per phase, edges
- * drawn from the witness's materialized Relations, per-thread hash maps
- * for po-loc, computeFrImmediate() materialized per phase.
+ * The reference checker: fresh graphs per phase, rf and co read through
+ * rfSource()/coPredecessor(), per-thread hash maps for po-loc, and full
+ * fr derived per phase.
  */
 class ReferenceChecker
 {
   public:
-    explicit ReferenceChecker(std::unique_ptr<mc::Architecture> arch)
-        : arch_(std::move(arch))
+    explicit ReferenceChecker(mc::ProfileModel model)
+        : model_(std::move(model))
     {
     }
 
@@ -105,26 +106,39 @@ class ReferenceChecker
             }
         } else {
             for (Pid pid : ew.threads())
-                arch_->addProgramOrderEdges(ew, ew.threadEvents(pid), g);
+                model_.addProgramOrderEdges(ew, ew.threadEvents(pid), g);
         }
-        ew.rf().forEach([&](mc::EventId from, mc::Relation::SuccRange s) {
-            const mc::Event &w = ew.event(from);
-            for (mc::EventId to : s) {
-                if (uniproc || arch_->ghbIncludesRfi() || w.isInit() ||
-                    w.iiid.pid != ew.event(to).iiid.pid) {
-                    g.addEdge(from, to);
-                }
+        const auto num_events = static_cast<mc::EventId>(ew.numEvents());
+        // co, plus the successor list full fr walks.
+        std::vector<mc::EventId> co_next(ew.numEvents(), mc::kNoEvent);
+        for (mc::EventId w = 0; w < num_events; ++w) {
+            const mc::EventId prev = ew.coPredecessor(w);
+            if (prev != mc::kNoEvent) {
+                g.addEdge(prev, w);
+                co_next[static_cast<std::size_t>(prev)] = w;
             }
-        });
-        ew.co().forEach([&](mc::EventId from, mc::Relation::SuccRange s) {
-            for (mc::EventId to : s)
-                g.addEdge(from, to);
-        });
-        const mc::Relation fr = ew.computeFrImmediate();
-        fr.forEach([&](mc::EventId from, mc::Relation::SuccRange s) {
-            for (mc::EventId to : s)
-                g.addEdge(from, to);
-        });
+        }
+        for (mc::EventId r = 0; r < num_events; ++r) {
+            if (!ew.event(r).isRead())
+                continue;
+            const mc::EventId src = ew.rfSource(r);
+            if (src == mc::kNoEvent)
+                continue;
+            const mc::Event &w = ew.event(src);
+            if (uniproc || model_.ghbIncludesRfi() || w.isInit() ||
+                w.iiid.pid != ew.event(r).iiid.pid) {
+                g.addEdge(src, r);
+            }
+            // Full fr: r -> every co-successor of its rf source (the
+            // step bound keeps a corrupt, cyclic co chain finite; its
+            // co edges already close a cycle).
+            mc::EventId succ = co_next[static_cast<std::size_t>(src)];
+            for (mc::EventId steps = 0;
+                 succ != mc::kNoEvent && steps < num_events; ++steps) {
+                g.addEdge(r, succ);
+                succ = co_next[static_cast<std::size_t>(succ)];
+            }
+        }
         return g;
     }
 
@@ -157,7 +171,7 @@ class ReferenceChecker
         return {};
     }
 
-    std::unique_ptr<mc::Architecture> arch_;
+    mc::ProfileModel model_;
 };
 
 /**

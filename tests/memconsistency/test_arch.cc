@@ -1,6 +1,6 @@
 /**
  * @file
- * Architecture (ppo edge generator) tests: the generator edges must
+ * Model (ppo edge generator) tests: the generator edges must
  * have the same reachability as the full ppo relation.
  */
 
@@ -50,7 +50,7 @@ struct ThreadBuilder
     }
 
     CycleGraph
-    graph(const Architecture &arch)
+    graph(const ProfileModel &arch)
     {
         ew.finalize();
         CycleGraph g(ew.numEvents());
@@ -68,12 +68,12 @@ TEST(ArchSc, FullProgramOrderPreserved)
     const EventId r1 = b.read(0x140, 1);
     const EventId w2 = b.write(0x180, 2, 2);
     auto arch = makeSc();
-    CycleGraph g = b.graph(*arch);
+    CycleGraph g = b.graph(arch);
     EXPECT_TRUE(reaches(g, w1, r1));
     EXPECT_TRUE(reaches(g, w1, w2));
     EXPECT_TRUE(reaches(g, r1, w2));
     EXPECT_FALSE(reaches(g, w2, w1));
-    EXPECT_TRUE(arch->ghbIncludesRfi());
+    EXPECT_TRUE(arch.ghbIncludesRfi());
 }
 
 TEST(ArchTso, WriteToReadRelaxed)
@@ -82,9 +82,9 @@ TEST(ArchTso, WriteToReadRelaxed)
     const EventId w = b.write(0x100, 0, 1);
     const EventId r = b.read(0x140, 1);
     auto arch = makeTso();
-    CycleGraph g = b.graph(*arch);
+    CycleGraph g = b.graph(arch);
     EXPECT_FALSE(reaches(g, w, r)) << "TSO must relax W->R";
-    EXPECT_FALSE(arch->ghbIncludesRfi());
+    EXPECT_FALSE(arch.ghbIncludesRfi());
 }
 
 TEST(ArchTso, ReadOrderedWithEverythingLater)
@@ -94,7 +94,7 @@ TEST(ArchTso, ReadOrderedWithEverythingLater)
     const EventId w = b.write(0x140, 1, 1);
     const EventId r2 = b.read(0x180, 2);
     auto arch = makeTso();
-    CycleGraph g = b.graph(*arch);
+    CycleGraph g = b.graph(arch);
     EXPECT_TRUE(reaches(g, r, w));
     EXPECT_TRUE(reaches(g, r, r2));
 }
@@ -107,7 +107,7 @@ TEST(ArchTso, ReadReachesLaterReadAcrossWrite)
     const EventId w = b.write(0x140, 1, 1);
     const EventId r2 = b.read(0x180, 2);
     auto arch = makeTso();
-    CycleGraph g = b.graph(*arch);
+    CycleGraph g = b.graph(arch);
     EXPECT_TRUE(reaches(g, r1, r2));
     EXPECT_FALSE(reaches(g, w, r2));
 }
@@ -120,7 +120,7 @@ TEST(ArchTso, WriteChainPreserved)
     const EventId w2 = b.write(0x180, 2, 2);
     const EventId w3 = b.write(0x1c0, 3, 3);
     auto arch = makeTso();
-    CycleGraph g = b.graph(*arch);
+    CycleGraph g = b.graph(arch);
     EXPECT_TRUE(reaches(g, w1, w2));
     EXPECT_TRUE(reaches(g, w1, w3));
     EXPECT_TRUE(reaches(g, w2, w3));
@@ -136,7 +136,7 @@ TEST(ArchTso, RmwActsAsFullFence)
     const EventId rw = b.write(0x140, 1, 2, true);
     const EventId r2 = b.read(0x180, 2);
     auto arch = makeTso();
-    CycleGraph g = b.graph(*arch);
+    CycleGraph g = b.graph(arch);
     EXPECT_TRUE(reaches(g, w1, rr));
     EXPECT_TRUE(reaches(g, rr, rw));
     EXPECT_TRUE(reaches(g, rw, r2));
@@ -152,7 +152,7 @@ TEST(ArchTso, NoSpuriousBackwardEdges)
     const EventId rw = b.write(0x180, 2, 2, true);
     const EventId r2 = b.read(0x1c0, 3);
     auto arch = makeTso();
-    CycleGraph g = b.graph(*arch);
+    CycleGraph g = b.graph(arch);
     EXPECT_FALSE(reaches(g, r2, r1));
     EXPECT_FALSE(reaches(g, rw, w1));
     EXPECT_FALSE(reaches(g, rr, r1));
@@ -161,6 +161,6 @@ TEST(ArchTso, NoSpuriousBackwardEdges)
 
 TEST(ArchNames, Names)
 {
-    EXPECT_EQ(makeSc()->name(), "SC");
-    EXPECT_EQ(makeTso()->name(), "TSO");
+    EXPECT_EQ(makeSc().name(), "SC");
+    EXPECT_EQ(makeTso().name(), "TSO");
 }

@@ -265,32 +265,6 @@ TEST(Checker, KindNames)
         CheckResult::kindName(CheckResult::Kind::GhbViolation), "ghb");
 }
 
-TEST(Checker, NeverMaterializesFr)
-{
-    // The flattened checker derives immediate fr once per check and
-    // streams it from the dense arrays; the Relation-materializing
-    // witness helpers (used by tests and tools) must not be called at
-    // all -- the pre-flattening checker called computeFrImmediate()
-    // twice per check (uniproc + ghb).
-    ExecWitness ew;
-    ew.recordWrite(0, 0, kX, 1, kInitVal);
-    ew.recordWrite(0, 1, kX, 2, 1);
-    ew.recordRead(1, 0, kX, 1);
-    ew.recordRead(1, 1, kY, kInitVal);
-    Checker tso(makeTso());
-    EXPECT_TRUE(tso.check(ew).ok());
-    EXPECT_EQ(ew.frMaterializations(), 0);
-
-    // The helpers themselves do count (sanity of the counter).
-    (void)ew.computeFrImmediate();
-    (void)ew.computeFr();
-    EXPECT_EQ(ew.frMaterializations(), 2);
-
-    // Checking again (finalize is idempotent) still materializes none.
-    EXPECT_TRUE(tso.check(ew).ok());
-    EXPECT_EQ(ew.frMaterializations(), 2);
-}
-
 TEST(Checker, DegenerateZeroEventWitnessOkUnderEveryModel)
 {
     // A test-run that commits nothing at all (e.g. an all-NOP body)

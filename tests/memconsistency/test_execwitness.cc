@@ -26,7 +26,7 @@ TEST(ExecWitness, ReadFromWrite)
     const EventId r = ew.recordRead(1, 0, 0x100, 42);
     ew.finalize();
     EXPECT_EQ(ew.rfSource(r), w);
-    EXPECT_TRUE(ew.rf().contains(w, r));
+    EXPECT_EQ(ew.rfSource(w), kNoEvent); // rf targets reads only.
 }
 
 TEST(ExecWitness, ReadBeforeWriteRecordingOrderIsFine)
@@ -85,15 +85,14 @@ TEST(ExecWitness, FrImmediateAndFull)
     const EventId r = ew.recordRead(1, 0, 0x40, kInitVal);
     ew.finalize();
 
-    const Relation fr_imm = ew.computeFrImmediate();
+    // fr(r) is every co-successor of r's rf source: the immediate
+    // one, then the rest of the co chain.
     const EventId init = ew.initEvent(0x40);
     ASSERT_NE(init, kNoEvent);
-    EXPECT_TRUE(fr_imm.contains(r, w1));
-    EXPECT_FALSE(fr_imm.contains(r, w2)); // Only immediate.
-
-    const Relation fr = ew.computeFr();
-    EXPECT_TRUE(fr.contains(r, w1));
-    EXPECT_TRUE(fr.contains(r, w2));
+    ASSERT_EQ(ew.rfSource(r), init);
+    EXPECT_EQ(ew.coSuccessor(init), w1); // Immediate fr target.
+    EXPECT_EQ(ew.coSuccessor(w1), w2);   // Full fr reaches w2 too.
+    EXPECT_EQ(ew.coSuccessor(w2), kNoEvent);
 }
 
 TEST(ExecWitness, ThreadEventsSortedByProgramOrder)
@@ -143,15 +142,20 @@ TEST(ExecWitness, ResetClearsEverything)
     ew.finalize();
     ew.reset();
     EXPECT_EQ(ew.numEvents(), 0u);
-    EXPECT_TRUE(ew.rf().empty());
-    EXPECT_TRUE(ew.co().empty());
     EXPECT_FALSE(ew.finalized());
     EXPECT_EQ(ew.anomaly(), WitnessAnomaly::None);
     // Reusable after reset; finalize materializes the init event for
-    // the overwritten value, hence 2 events.
-    ew.recordWrite(0, 0, 0x40, 7, kInitVal);
+    // the overwritten value, hence 2 events, and no rf/co edge of the
+    // first iteration survives.
+    const EventId w = ew.recordWrite(0, 0, 0x40, 7, kInitVal);
     ew.finalize();
     EXPECT_EQ(ew.numEvents(), 2u);
+    const EventId init = ew.initEvent(0x40);
+    EXPECT_EQ(ew.coPredecessor(w), init);
+    EXPECT_EQ(ew.coSuccessor(w), kNoEvent);
+    EXPECT_EQ(ew.coPredecessor(init), kNoEvent);
+    EXPECT_EQ(ew.rfSource(w), kNoEvent);
+    EXPECT_EQ(ew.rfSource(init), kNoEvent);
 }
 
 TEST(ExecWitness, FinalizeIdempotent)
@@ -162,7 +166,10 @@ TEST(ExecWitness, FinalizeIdempotent)
     ew.finalize();
     const EventId init = ew.initEvent(0x40);
     EXPECT_EQ(ew.coSuccessor(init), w);
-    EXPECT_EQ(ew.co().size(), 1u);
+    // Exactly one co edge: init -> w.
+    EXPECT_EQ(ew.coPredecessor(w), init);
+    EXPECT_EQ(ew.coPredecessor(init), kNoEvent);
+    EXPECT_EQ(ew.coSuccessor(w), kNoEvent);
 }
 
 TEST(ExecWitness, DenseAddrIds)

@@ -121,7 +121,7 @@ TEST(ModelRegistry, NamesAndLookup)
     EXPECT_FALSE(hasModel(""));
 
     EXPECT_EQ(modelProfile("tso").name, "TSO");
-    EXPECT_EQ(makeModel("RMO")->name(), "RMO");
+    EXPECT_EQ(makeModel("RMO").name(), "RMO");
     try {
         modelProfile("alpha");
         FAIL() << "expected std::invalid_argument";
@@ -138,9 +138,9 @@ TEST(ModelRegistry, StoreAtomicityFlags)
 {
     // SC is the only multi-copy-atomic profile: internal rf
     // participates in ghb.
-    EXPECT_TRUE(makeModel("sc")->ghbIncludesRfi());
-    for (const std::string &name : {"tso", "pso", "rmo", "rc"})
-        EXPECT_FALSE(makeModel(name)->ghbIncludesRfi()) << name;
+    EXPECT_TRUE(makeModel("sc").ghbIncludesRfi());
+    for (const char *name : {"tso", "pso", "rmo", "rc"})
+        EXPECT_FALSE(makeModel(name).ghbIncludesRfi()) << name;
 }
 
 TEST(ModelProfileValidation, RejectsUninterpretableProfiles)
@@ -210,7 +210,7 @@ TEST(ModelEngine, StoreBufferingNeedsWriteReadOrder)
 {
     EXPECT_EQ(verdict("sc", storeBufferingWitness()),
               CheckResult::Kind::GhbViolation);
-    for (const std::string &name : {"tso", "pso", "rmo", "rc"}) {
+    for (const char *name : {"tso", "pso", "rmo", "rc"}) {
         EXPECT_EQ(verdict(name, storeBufferingWitness()),
                   CheckResult::Kind::Ok)
             << name;
@@ -219,12 +219,12 @@ TEST(ModelEngine, StoreBufferingNeedsWriteReadOrder)
 
 TEST(ModelEngine, MessagePassingNeedsWriteWriteOrder)
 {
-    for (const std::string &name : {"sc", "tso"}) {
+    for (const char *name : {"sc", "tso"}) {
         EXPECT_EQ(verdict(name, messagePassingWitness()),
                   CheckResult::Kind::GhbViolation)
             << name;
     }
-    for (const std::string &name : {"pso", "rmo", "rc"}) {
+    for (const char *name : {"pso", "rmo", "rc"}) {
         EXPECT_EQ(verdict(name, messagePassingWitness()),
                   CheckResult::Kind::Ok)
             << name;
@@ -233,12 +233,12 @@ TEST(ModelEngine, MessagePassingNeedsWriteWriteOrder)
 
 TEST(ModelEngine, LoadBufferingNeedsReadWriteOrder)
 {
-    for (const std::string &name : {"sc", "tso", "pso"}) {
+    for (const char *name : {"sc", "tso", "pso"}) {
         EXPECT_EQ(verdict(name, loadBufferingWitness()),
                   CheckResult::Kind::GhbViolation)
             << name;
     }
-    for (const std::string &name : {"rmo", "rc"}) {
+    for (const char *name : {"rmo", "rc"}) {
         EXPECT_EQ(verdict(name, loadBufferingWitness()),
                   CheckResult::Kind::Ok)
             << name;
@@ -250,7 +250,7 @@ TEST(ModelEngine, FullFencesBridgeWriteToRead)
     // With full-fence RMWs between each thread's write and read, SB's
     // relaxed outcome is forbidden everywhere except under
     // release/acquire semantics, which provide no W->R crossing edge.
-    for (const std::string &name : {"sc", "tso", "pso", "rmo"}) {
+    for (const char *name : {"sc", "tso", "pso", "rmo"}) {
         EXPECT_EQ(verdict(name, fencedStoreBufferingWitness()),
                   CheckResult::Kind::GhbViolation)
             << name;

@@ -1,5 +1,7 @@
 /** @file Discrete-event kernel tests. */
 
+#include <deque>
+#include <functional>
 #include <stdexcept>
 #include <vector>
 
@@ -11,13 +13,53 @@
 using namespace mcversi::sim;
 using mcversi::Tick;
 
+namespace {
+
+/**
+ * Closure events for tests, built on the kernel's typed events: each
+ * closure is kept alive here (a deque keeps addresses stable) and run
+ * by a trampoline scheduled with scheduleFn().
+ */
+class Closures
+{
+  public:
+    explicit Closures(EventQueue &eq) : eq_(eq) {}
+
+    void
+    at(Tick when, std::function<void()> fn)
+    {
+        fns_.push_back(std::move(fn));
+        eq_.scheduleFn(when, &run, &fns_.back());
+    }
+
+    void
+    in(Tick delta, std::function<void()> fn)
+    {
+        at(eq_.now() + delta, std::move(fn));
+    }
+
+  private:
+    static void
+    run(void *obj, std::uint64_t, std::uint64_t, std::uint64_t,
+        std::uint64_t)
+    {
+        (*static_cast<std::function<void()> *>(obj))();
+    }
+
+    EventQueue &eq_;
+    std::deque<std::function<void()>> fns_;
+};
+
+} // namespace
+
 TEST(EventQueue, OrdersByTick)
 {
     EventQueue eq;
+    Closures ev(eq);
     std::vector<int> order;
-    eq.schedule(10, [&]() { order.push_back(2); });
-    eq.schedule(5, [&]() { order.push_back(1); });
-    eq.schedule(20, [&]() { order.push_back(3); });
+    ev.at(10, [&]() { order.push_back(2); });
+    ev.at(5, [&]() { order.push_back(1); });
+    ev.at(20, [&]() { order.push_back(3); });
     eq.runUntilQuiescent();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_EQ(eq.now(), 20u);
@@ -26,9 +68,10 @@ TEST(EventQueue, OrdersByTick)
 TEST(EventQueue, FifoWithinSameTick)
 {
     EventQueue eq;
+    Closures ev(eq);
     std::vector<int> order;
     for (int i = 0; i < 10; ++i)
-        eq.schedule(7, [&order, i]() { order.push_back(i); });
+        ev.at(7, [&order, i]() { order.push_back(i); });
     eq.runUntilQuiescent();
     for (int i = 0; i < 10; ++i)
         EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
@@ -37,10 +80,11 @@ TEST(EventQueue, FifoWithinSameTick)
 TEST(EventQueue, NestedScheduling)
 {
     EventQueue eq;
+    Closures ev(eq);
     int fired = 0;
-    eq.schedule(1, [&]() {
+    ev.at(1, [&]() {
         ++fired;
-        eq.scheduleIn(5, [&]() { ++fired; });
+        ev.in(5, [&]() { ++fired; });
     });
     EXPECT_EQ(eq.runUntilQuiescent(), 2u);
     EXPECT_EQ(fired, 2);
@@ -53,11 +97,12 @@ TEST(EventQueue, PastTickClampedToNow)
     // sanitizer builds make it a hard error, release builds keep the
     // historical clamp-to-now behavior.
     EventQueue eq;
+    Closures ev(eq);
     if (EventQueue::strictPastScheduling()) {
         bool threw = false;
-        eq.schedule(10, [&]() {
+        ev.at(10, [&]() {
             try {
-                eq.schedule(3, []() {}); // in the past
+                ev.at(3, []() {}); // in the past
             } catch (const std::logic_error &) {
                 threw = true;
             }
@@ -66,8 +111,8 @@ TEST(EventQueue, PastTickClampedToNow)
         EXPECT_TRUE(threw);
     } else {
         Tick seen = 0;
-        eq.schedule(10, [&]() {
-            eq.schedule(3, [&]() { seen = eq.now(); }); // in the past
+        ev.at(10, [&]() {
+            ev.at(3, [&]() { seen = eq.now(); }); // in the past
         });
         eq.runUntilQuiescent();
         EXPECT_EQ(seen, 10u);
@@ -77,16 +122,18 @@ TEST(EventQueue, PastTickClampedToNow)
 TEST(EventQueue, MaxEventsGuard)
 {
     EventQueue eq;
-    std::function<void()> loop = [&]() { eq.scheduleIn(1, loop); };
-    eq.schedule(0, loop);
+    Closures ev(eq);
+    std::function<void()> loop = [&]() { ev.in(1, loop); };
+    ev.at(0, loop);
     EXPECT_THROW(eq.runUntilQuiescent(1000), std::runtime_error);
 }
 
 TEST(EventQueue, ResetClears)
 {
     EventQueue eq;
+    Closures ev(eq);
     int fired = 0;
-    eq.schedule(5, [&]() { ++fired; });
+    ev.at(5, [&]() { ++fired; });
     eq.reset();
     EXPECT_TRUE(eq.empty());
     eq.runUntilQuiescent();
@@ -97,8 +144,9 @@ TEST(EventQueue, ResetClears)
 TEST(EventQueue, ProcessedCounter)
 {
     EventQueue eq;
+    Closures ev(eq);
     for (int i = 0; i < 5; ++i)
-        eq.schedule(static_cast<Tick>(i), []() {});
+        ev.at(static_cast<Tick>(i), []() {});
     eq.runUntilQuiescent();
     EXPECT_EQ(eq.processed(), 5u);
 }
@@ -128,26 +176,27 @@ TEST(EventQueue, TypedFnEventCarriesArgs)
 TEST(EventQueue, SameTickInsertionOrderGolden)
 {
     EventQueue eq;
+    Closures ev(eq);
     std::vector<int> order;
     auto mark = [&order](int id) { return [&order, id]() { order.push_back(id); }; };
 
     // Far-future first (overflow path), interleaved with near ticks,
     // with several events sharing each tick in scrambled insert order.
-    eq.schedule(1000, mark(0)); // overflow
-    eq.schedule(7, mark(1));
-    eq.schedule(1000, mark(2)); // overflow, same far tick
-    eq.schedule(7, mark(3));
-    eq.schedule(300, mark(4));  // overflow (>= wheel horizon)
-    eq.schedule(0, mark(5));
-    eq.schedule(7, [&eq, &order]() {
+    ev.at(1000, mark(0)); // overflow
+    ev.at(7, mark(1));
+    ev.at(1000, mark(2)); // overflow, same far tick
+    ev.at(7, mark(3));
+    ev.at(300, mark(4));  // overflow (>= wheel horizon)
+    ev.at(0, mark(5));
+    ev.at(7, [&ev, &order]() {
         order.push_back(6);
         // Nested same-tick: must run this tick, after already-queued
         // tick-7 events.
-        eq.scheduleIn(0, [&order]() { order.push_back(7); });
+        ev.in(0, [&order]() { order.push_back(7); });
         // Nested far: crosses the wheel horizon from tick 7.
-        eq.schedule(1000, [&order]() { order.push_back(8); });
+        ev.at(1000, [&order]() { order.push_back(8); });
     });
-    eq.schedule(300, mark(9));
+    ev.at(300, mark(9));
 
     eq.runUntilQuiescent();
 
@@ -163,15 +212,16 @@ TEST(EventQueue, SeqMonotonicityAcrossReset)
     // rewind the counter, and same-tick ordering after a reset is
     // still pure insertion order.
     EventQueue eq;
+    Closures ev(eq);
     for (int i = 0; i < 100; ++i)
-        eq.schedule(static_cast<Tick>(i % 3), []() {});
+        ev.at(static_cast<Tick>(i % 3), []() {});
     eq.runUntilQuiescent();
     eq.reset();
     EXPECT_EQ(eq.now(), 0u);
 
     std::vector<int> order;
     for (int i = 0; i < 10; ++i)
-        eq.schedule(4, [&order, i]() { order.push_back(i); });
+        ev.at(4, [&order, i]() { order.push_back(i); });
     eq.runUntilQuiescent();
     for (int i = 0; i < 10; ++i)
         EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
@@ -183,6 +233,7 @@ TEST(EventQueue, ClearPendingReclaimsPooledPayloads)
     // pool (the livelock watchdog clears mid-flight state every time
     // it fires); repeated clear cycles must not grow the pool.
     EventQueue eq;
+    Closures ev(eq);
 
     struct Sink : MsgHandler
     {
@@ -202,16 +253,15 @@ TEST(EventQueue, ClearPendingReclaimsPooledPayloads)
 
     // And clearing must not disturb time or subsequent scheduling.
     int fired = 0;
-    eq.schedule(eq.now() + 3, [&]() { ++fired; });
+    ev.at(eq.now() + 3, [&]() { ++fired; });
     eq.runUntilQuiescent();
     EXPECT_EQ(fired, 1);
 }
 
 TEST(EventQueue, SteadyStateSchedulingIsAllocationFree)
 {
-    // Mirrors PR 3's frMaterializations() instrumentation approach:
-    // after a warmup round sizes the wheel buckets, thunk slots and
-    // message pool, further schedule/dispatch cycles -- including
+    // After a warmup round sizes the wheel buckets and the message
+    // pool, further schedule/dispatch cycles -- including
     // overflow ticks and pooled deliveries -- must not grow any
     // kernel-internal structure.
     EventQueue eq;

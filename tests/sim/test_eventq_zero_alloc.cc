@@ -4,8 +4,8 @@
  * allocation-free in steady state.
  *
  * This binary replaces global operator new/delete with counting
- * wrappers. After a warmup round has sized the wheel buckets, thunk
- * slots, message pool and network routing arrays, a full
+ * wrappers. After a warmup round has sized the wheel buckets, message
+ * pool and network routing arrays, a full
  * schedule -> dispatch -> Network::send -> deliver cycle must perform
  * exactly zero heap allocations -- the strongest form of the
  * steady-state property (the structuralAllocations() instrumentation
@@ -38,7 +38,10 @@ std::atomic<std::uint64_t> g_allocs{0};
 
 } // namespace
 
-void *
+// The replacements stay out of line: inlined into a caller, GCC pairs
+// the std::free below with the caller's operator new and warns
+// (-Wmismatched-new-delete).
+[[gnu::noinline]] void *
 operator new(std::size_t size)
 {
     g_allocs.fetch_add(1, std::memory_order_relaxed);
@@ -47,31 +50,31 @@ operator new(std::size_t size)
     throw std::bad_alloc();
 }
 
-void *
+[[gnu::noinline]] void *
 operator new[](std::size_t size)
 {
     return ::operator new(size);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p, std::size_t) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p, std::size_t) noexcept
 {
     std::free(p);
