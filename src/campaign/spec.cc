@@ -1,5 +1,7 @@
 #include "campaign/spec.hh"
 
+#include <cctype>
+#include <cmath>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -24,7 +26,9 @@ badValue(const std::string &key, const std::string &value,
 std::uint64_t
 parseU64(const std::string &key, const std::string &value)
 {
-    if (value.empty() || value[0] == '-' || value[0] == '+')
+    // std::stoull skips leading whitespace and negates a '-' in unsigned
+    // arithmetic: accept only a leading digit.
+    if (value.empty() || !std::isdigit(static_cast<unsigned char>(value[0])))
         badValue(key, value, "expected a non-negative integer");
     std::size_t pos = 0;
     unsigned long long v = 0;
@@ -76,6 +80,8 @@ parseNonNegDouble(const std::string &key, const std::string &value)
     }
     if (pos != value.size())
         badValue(key, value, "trailing characters");
+    if (!std::isfinite(v))
+        badValue(key, value, "must be finite");
     if (v < 0.0)
         badValue(key, value, "must not be negative");
     return v;

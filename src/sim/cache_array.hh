@@ -14,13 +14,16 @@
  * The host-assisted reset runs between every test iteration, so this
  * turns the largest per-iteration cost of the simulator (megabytes of
  * entry clears) into a single increment. Accessors and the visitation
- * order are unchanged from the eager-clear implementation.
+ * order are unchanged from the eager-clear implementation. Likewise,
+ * the entries are allocated by the first allocate(), not by the
+ * constructor, so building a system costs no megabytes of entry writes.
  */
 
 #ifndef MCVERSI_SIM_CACHE_ARRAY_HH
 #define MCVERSI_SIM_CACHE_ARRAY_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/types.hh"
@@ -84,25 +87,15 @@ struct CacheEntry
 class CacheArray
 {
   public:
-    CacheArray(int sets, int ways)
-        : sets_(sets), ways_(ways),
-          entries_(static_cast<std::size_t>(sets) *
-                   static_cast<std::size_t>(ways))
-    {
-    }
+    CacheArray(int sets, int ways) : sets_(sets), ways_(ways) {}
 
     /** Find the entry caching @p line, or nullptr. */
     CacheEntry *
     find(Addr line)
     {
-        const std::size_t base = setIndex(line) *
-                                 static_cast<std::size_t>(ways_);
-        for (int w = 0; w < ways_; ++w) {
-            CacheEntry &e =
-                entries_[base + static_cast<std::size_t>(w)];
+        for (CacheEntry &e : waysOf(line))
             if (live(e) && e.line == line)
                 return &e;
-        }
         return nullptr;
     }
 
@@ -115,11 +108,10 @@ class CacheArray
     CacheEntry *
     allocate(Addr line)
     {
-        const std::size_t base = setIndex(line) *
-                                 static_cast<std::size_t>(ways_);
-        for (int w = 0; w < ways_; ++w) {
-            CacheEntry &e =
-                entries_[base + static_cast<std::size_t>(w)];
+        if (entries_.empty())
+            entries_.resize(static_cast<std::size_t>(sets_) *
+                            static_cast<std::size_t>(ways_));
+        for (CacheEntry &e : waysOf(line)) {
             if (!live(e)) {
                 e = CacheEntry{};
                 e.generation = generation_;
@@ -138,12 +130,8 @@ class CacheArray
     CacheEntry *
     victim(Addr line, Pred &&evictable)
     {
-        const std::size_t base = setIndex(line) *
-                                 static_cast<std::size_t>(ways_);
         CacheEntry *best = nullptr;
-        for (int w = 0; w < ways_; ++w) {
-            CacheEntry &e =
-                entries_[base + static_cast<std::size_t>(w)];
+        for (CacheEntry &e : waysOf(line)) {
             if (!live(e) || !evictable(e))
                 continue;
             if (!best || e.lastUse < best->lastUse)
@@ -158,16 +146,13 @@ class CacheArray
      */
     template <typename Pred>
     bool
-    canAllocate(Addr line, Pred &&evictable) const
+    canAllocate(Addr line, Pred &&evictable)
     {
-        const std::size_t base = setIndex(line) *
-                                 static_cast<std::size_t>(ways_);
-        for (int w = 0; w < ways_; ++w) {
-            const CacheEntry &e =
-                entries_[base + static_cast<std::size_t>(w)];
+        if (entries_.empty())
+            return true;
+        for (const CacheEntry &e : waysOf(line))
             if (!live(e) || evictable(e))
                 return true;
-        }
         return false;
     }
 
@@ -217,6 +202,17 @@ class CacheArray
     }
 
   private:
+    /** The ways of @p line's set; none before the first allocate(). */
+    std::span<CacheEntry>
+    waysOf(Addr line)
+    {
+        if (entries_.empty())
+            return {};
+        return {entries_.data() + setIndex(line) *
+                                      static_cast<std::size_t>(ways_),
+                static_cast<std::size_t>(ways_)};
+    }
+
     bool
     live(const CacheEntry &e) const
     {

@@ -19,10 +19,10 @@ const std::vector<std::string> kEventNames = {
 } // namespace
 
 MesiL1::MesiL1(Pid pid, const SystemConfig &cfg, EventQueue &eq,
-               Network &net, TransitionCoverage &cov, Rng rng)
-    : pid_(pid), cfg_(cfg), eq_(eq), net_(net),
-      table_(cov, "MESI-L1", kStateNames, kEventNames), rng_(rng),
-      array_(cfg.l1Sets, cfg.l1Ways)
+               Network &net, TransitionCoverage &cov)
+    : L1Controller(pid, cfg, eq, net,
+                   TransitionTable(cov, "MESI-L1", kStateNames, kEventNames),
+                   StIS, StIM)
 {
     buildTable();
 }
@@ -85,141 +85,22 @@ MesiL1::buildTable()
     def(StII, EvInv);
 }
 
-NodeId
-MesiL1::home(Addr line) const
-{
-    return l2Node(cfg_.homeTile(line));
-}
-
-void
-MesiL1::send(MsgType t, Addr line, NodeId dst, Vnet vnet,
-             const std::function<void(Msg &)> &fill)
-{
-    Msg &msg = net_.stage();
-    msg.type = t;
-    msg.line = line;
-    msg.src = coreNode(pid_);
-    msg.dst = dst;
-    msg.vnet = vnet;
-    msg.requester = pid_;
-    if (fill)
-        fill(msg);
-    net_.send(&msg);
-}
-
-void
-MesiL1::respond(ReqId id, WriteVal value, WriteVal overwritten,
-                bool inv_in_flight, Tick latency)
-{
-    eq_.scheduleFnIn(
-        latency,
-        [](void *o, std::uint64_t a, std::uint64_t b, std::uint64_t c,
-           std::uint64_t d) {
-            auto *self = static_cast<MesiL1 *>(o);
-            self->hooks_.respond(CacheResp{a, b, c, d != 0});
-        },
-        this, id, value, overwritten, inv_in_flight ? 1 : 0);
-}
-
-void
-MesiL1::notifyLq(Addr line)
-{
-    if (hooks_.addressInvalidated)
-        hooks_.addressInvalidated(line);
-}
-
-MesiL1::State
-MesiL1::lineState(Addr line)
-{
-    if (auto it = evict_.find(line); it != evict_.end())
-        return it->second.state;
-    if (CacheEntry *e = array_.find(line))
-        return static_cast<State>(e->state);
-    return StI;
-}
-
-// ---------------------------------------------------------------------
-// Core interface: all requests funnel through the per-line queue and
-// processPending, which acts on the head against the current state.
-// ---------------------------------------------------------------------
-
-void
-MesiL1::coreLoad(ReqId id, Addr addr)
-{
-    enqueue({PendingReq::Kind::Load, id, addr, 0}, false);
-    processPending(lineAddr(addr));
-}
-
-void
-MesiL1::coreStore(ReqId id, Addr addr, WriteVal value)
-{
-    enqueue({PendingReq::Kind::Store, id, addr, value}, false);
-    processPending(lineAddr(addr));
-}
-
-void
-MesiL1::coreRmw(ReqId id, Addr addr, WriteVal value)
-{
-    enqueue({PendingReq::Kind::Rmw, id, addr, value}, false);
-    processPending(lineAddr(addr));
-}
-
-void
-MesiL1::coreFlush(ReqId id, Addr addr)
-{
-    enqueue({PendingReq::Kind::Flush, id, addr, 0}, false);
-    processPending(lineAddr(addr));
-}
-
-void
-MesiL1::enqueue(const PendingReq &req, bool front)
-{
-    auto &q = pending_[lineAddr(req.addr)];
-    if (front)
-        q.push_front(req);
-    else
-        q.push_back(req);
-}
-
 void
 MesiL1::applyStore(CacheEntry &entry, const PendingReq &req)
 {
     const WriteVal old = entry.data.word(req.addr);
     entry.data.setWord(req.addr, req.value);
     if (req.kind == PendingReq::Kind::Rmw) {
-        respond(req.id, old, old, false, cfg_.l1HitLatency);
+        respond(req.id, old, old, cfg_.l1HitLatency);
     } else {
-        respond(req.id, 0, old, false, cfg_.l1HitLatency);
+        respond(req.id, 0, old, cfg_.l1HitLatency);
     }
 }
 
 bool
-MesiL1::startMiss(Addr line, bool exclusive)
+MesiL1::stable(std::uint8_t state) const
 {
-    CacheEntry *entry = array_.allocate(line);
-    if (!entry) {
-        if (!evictVictim(line))
-            return false;
-        entry = array_.allocate(line);
-        assert(entry);
-    }
-    entry->state = exclusive ? StIM : StIS;
-    array_.touch(*entry, eq_.now());
-    send(exclusive ? MsgType::GETX : MsgType::GETS, line, home(line),
-         Vnet::Request);
-    return true;
-}
-
-bool
-MesiL1::evictVictim(Addr line)
-{
-    CacheEntry *victim = array_.victim(line, [](const CacheEntry &e) {
-        return e.state == StS || e.state == StE || e.state == StM;
-    });
-    if (!victim)
-        return false;
-    doReplacement(*victim);
-    return true;
+    return state == StS || state == StE || state == StM;
 }
 
 void
@@ -233,27 +114,15 @@ MesiL1::doReplacement(CacheEntry &entry)
         send(MsgType::PUTS, line, home(line), Vnet::Request);
         if (cfg_.bug != BugId::MesiLqSReplacement)
             notifyLq(line);
+        array_.free(entry);
         break;
       case StE:
-      case StM: {
-        EvictBuf buf;
-        buf.state = StMI;
-        buf.data = entry.data;
-        buf.dirty = (st == StM);
-        evict_[line] = buf;
-        send(MsgType::PUTX, line, home(line), Vnet::Request,
-             [&](Msg &m) {
-                 m.data = entry.data;
-                 m.hasData = true;
-                 m.dirty = (st == StM);
-             });
-        notifyLq(line);
+      case StM:
+        writeBack(entry, StMI, st == StM);
         break;
-      }
       default:
         assert(false && "victim must be stable");
     }
-    array_.free(entry);
 }
 
 void
@@ -278,36 +147,18 @@ MesiL1::processPending(Addr line)
             switch (req.kind) {
               case PendingReq::Kind::Load:
                 table_.record(StI, EvLoad);
-                if (!startMiss(line, false)) {
-                    eq_.scheduleFnIn(
-                        16,
-                        [](void *o, std::uint64_t a, std::uint64_t,
-                           std::uint64_t, std::uint64_t) {
-                            static_cast<MesiL1 *>(o)->processPending(a);
-                        },
-                        this, line);
-                    return;
-                }
+                startMiss(line, false);
                 return; // Wait for data.
               case PendingReq::Kind::Store:
               case PendingReq::Kind::Rmw:
                 table_.record(StI, req.kind == PendingReq::Kind::Rmw
                                        ? EvRmw
                                        : EvStore);
-                if (!startMiss(line, true)) {
-                    eq_.scheduleFnIn(
-                        16,
-                        [](void *o, std::uint64_t a, std::uint64_t,
-                           std::uint64_t, std::uint64_t) {
-                            static_cast<MesiL1 *>(o)->processPending(a);
-                        },
-                        this, line);
-                    return;
-                }
+                startMiss(line, true);
                 return;
               case PendingReq::Kind::Flush:
                 table_.record(StI, EvFlush);
-                respond(req.id, 0, 0, false, 1);
+                respond(req.id, 0, 0, 1);
                 q.pop_front();
                 continue;
             }
@@ -318,7 +169,7 @@ MesiL1::processPending(Addr line)
               case PendingReq::Kind::Load:
                 table_.record(StS, EvLoad);
                 array_.touch(*entry, eq_.now());
-                respond(req.id, entry->data.word(req.addr), 0, false,
+                respond(req.id, entry->data.word(req.addr), 0,
                         cfg_.l1HitLatency);
                 q.pop_front();
                 continue;
@@ -337,7 +188,7 @@ MesiL1::processPending(Addr line)
                 send(MsgType::PUTS, line, home(line), Vnet::Request);
                 notifyLq(line);
                 array_.free(*entry);
-                respond(req.id, 0, 0, false, 1);
+                respond(req.id, 0, 0, 1);
                 q.pop_front();
                 continue;
             }
@@ -349,7 +200,7 @@ MesiL1::processPending(Addr line)
               case PendingReq::Kind::Load:
                 table_.record(st, EvLoad);
                 array_.touch(*entry, eq_.now());
-                respond(req.id, entry->data.word(req.addr), 0, false,
+                respond(req.id, entry->data.word(req.addr), 0,
                         cfg_.l1HitLatency);
                 q.pop_front();
                 continue;
@@ -363,26 +214,11 @@ MesiL1::processPending(Addr line)
                 applyStore(*entry, req);
                 q.pop_front();
                 continue;
-              case PendingReq::Kind::Flush: {
+              case PendingReq::Kind::Flush:
                 table_.record(st, EvFlush);
-                EvictBuf buf;
-                buf.state = StMI;
-                buf.data = entry->data;
-                buf.dirty = (st == StM);
-                buf.flushPending = true;
-                buf.flushReq = req.id;
-                evict_[line] = buf;
-                send(MsgType::PUTX, line, home(line), Vnet::Request,
-                     [&](Msg &m) {
-                         m.data = entry->data;
-                         m.hasData = true;
-                         m.dirty = (st == StM);
-                     });
-                notifyLq(line);
-                array_.free(*entry);
+                writeBack(*entry, StMI, st == StM, req.id);
                 q.pop_front();
                 return; // Buffer blocks the line until WbAck.
-              }
             }
             break;
 
@@ -390,7 +226,7 @@ MesiL1::processPending(Addr line)
             if (req.kind == PendingReq::Kind::Load) {
                 // SM retains valid, readable data.
                 table_.record(StSM, EvLoad);
-                respond(req.id, entry->data.word(req.addr), 0, false,
+                respond(req.id, entry->data.word(req.addr), 0,
                         cfg_.l1HitLatency);
                 q.pop_front();
                 continue;
@@ -440,7 +276,7 @@ MesiL1::handleMsg(const Msg &msg)
     // value (a genuine TSO violation on a correct system).
     if (auto it = evict_.find(line); it != evict_.end()) {
         EvictBuf &buf = it->second;
-        const State st = buf.state;
+        const auto st = static_cast<State>(buf.state);
         switch (msg.type) {
           case MsgType::FwdGETS:
             table_.record(st, EvFwdGETS);
@@ -477,17 +313,11 @@ MesiL1::handleMsg(const Msg &msg)
             notifyLq(line);
             return;
           case MsgType::WbAck:
-          case MsgType::WbNack: {
+          case MsgType::WbNack:
             table_.record(st, msg.type == MsgType::WbAck ? EvWbAck
                                                          : EvWbNack);
-            const bool flush_pending = buf.flushPending;
-            const ReqId flush_req = buf.flushReq;
-            evict_.erase(it);
-            if (flush_pending)
-                respond(flush_req, 0, 0, false, 1);
-            processPending(line);
+            retireWriteback(it);
             return;
-          }
           case MsgType::Inv:
             table_.record(st, EvInv);
             send(MsgType::InvAck, line, msg.ackTarget, Vnet::Response);
@@ -610,20 +440,8 @@ MesiL1::handleMsg(const Msg &msg)
             // Consume the data once; the LQ must treat the consuming
             // loads as invalidated-at-consume-time ("Peekaboo").
             // BUG MESI,LQ+IS,Inv: the flag is never set.
-            const bool flag = (cfg_.bug != BugId::MesiLqIsInv);
-            auto pit = pending_.find(line);
-            if (pit != pending_.end()) {
-                auto &q = pit->second;
-                for (auto qit = q.begin(); qit != q.end();) {
-                    if (qit->kind == PendingReq::Kind::Load) {
-                        respond(qit->id, msg.data.word(qit->addr), 0,
-                                flag, 1);
-                        qit = q.erase(qit);
-                    } else {
-                        ++qit;
-                    }
-                }
-            }
+            answerQueuedLoads(line, msg.data,
+                              cfg_.bug != BugId::MesiLqIsInv);
             if (msg.exclusive) {
                 // The sunk Inv was stale; the grant is authoritative.
                 entry->data = msg.data;
@@ -668,14 +486,6 @@ MesiL1::handleMsg(const Msg &msg)
         throw ProtocolError("MESI-L1", kStateNames[st],
                             msgTypeName(msg.type));
     }
-}
-
-void
-MesiL1::resetAll()
-{
-    array_.reset();
-    evict_.clear();
-    pending_.clear();
 }
 
 } // namespace mcversi::sim

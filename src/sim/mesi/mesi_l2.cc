@@ -1,5 +1,6 @@
 #include "sim/mesi/mesi_l2.hh"
 
+#include <bit>
 #include <cassert>
 
 namespace mcversi::sim {
@@ -20,23 +21,12 @@ const std::vector<std::string> kEventNames = {
 } // namespace
 
 MesiL2::MesiL2(int tile, const SystemConfig &cfg, EventQueue &eq,
-               Network &net, TransitionCoverage &cov, Rng rng)
-    : tile_(tile), cfg_(cfg), eq_(eq), net_(net),
-      table_(cov, "MESI-L2", kStateNames, kEventNames), rng_(rng),
-      array_(cfg.l2SetsPerTile, cfg.l2Ways)
+               Network &net, TransitionCoverage &cov)
+    : L2Controller(tile, cfg, eq, net,
+                   TransitionTable(cov, "MESI-L2", kStateNames, kEventNames),
+                   StISS, StIMM)
 {
     buildTable();
-}
-
-int
-MesiL2::popcount(std::uint32_t v)
-{
-    int n = 0;
-    while (v) {
-        v &= v - 1;
-        ++n;
-    }
-    return n;
 }
 
 void
@@ -85,94 +75,6 @@ MesiL2::buildTable()
     def(StNP, EvRecallAckNoData);
 }
 
-Msg &
-MesiL2::buildMsg(MsgType t, Addr line, NodeId dst, Vnet vnet,
-                 const std::function<void(Msg &)> &fill)
-{
-    Msg &msg = net_.stage();
-    msg.type = t;
-    msg.line = line;
-    msg.src = l2Node(tile_);
-    msg.dst = dst;
-    msg.vnet = vnet;
-    if (fill)
-        fill(msg);
-    return msg;
-}
-
-void
-MesiL2::send(MsgType t, Addr line, NodeId dst, Vnet vnet,
-             const std::function<void(Msg &)> &fill)
-{
-    net_.send(&buildMsg(t, line, dst, vnet, fill));
-}
-
-void
-MesiL2::sendAfter(Tick delta, MsgType t, Addr line, NodeId dst,
-                  Vnet vnet, const std::function<void(Msg &)> &fill)
-{
-    // Build the message now (all inputs are already captured by value
-    // in the old thunk idiom); latency, FIFO order and the jitter draw
-    // still happen at injection time, inside the NetSend event.
-    eq_.scheduleNetSend(eq_.now() + delta, &net_,
-                        &buildMsg(t, line, dst, vnet, fill));
-}
-
-void
-MesiL2::memWrite(Addr line, const LineData &data)
-{
-    send(MsgType::MemWrite, line, kMemNode, Vnet::Mem, [&](Msg &m) {
-        m.data = data;
-        m.hasData = true;
-    });
-}
-
-MesiL2::State
-MesiL2::lineState(Addr line)
-{
-    if (auto it = evict_.find(line); it != evict_.end())
-        return it->second.state;
-    if (CacheEntry *e = array_.find(line))
-        return static_cast<State>(e->state);
-    return StNP;
-}
-
-bool
-MesiL2::serving(Addr line)
-{
-    const State st = lineState(line);
-    return st == StNP || st == StSS || st == StMT;
-}
-
-void
-MesiL2::enqueueMsg(const Msg &msg)
-{
-    waiting_[msg.line].push_back(msg);
-}
-
-void
-MesiL2::drain(Addr line)
-{
-    // serveRequest below can transition the line away from a serving
-    // state (or call drain recursively); the loop re-reads the queue and
-    // the state every iteration, so recursion simply consumes the queue
-    // a little earlier.
-    for (;;) {
-        auto it = waiting_.find(line);
-        if (it == waiting_.end())
-            return;
-        if (it->second.empty()) {
-            waiting_.erase(it);
-            return;
-        }
-        if (!serving(line))
-            return;
-        Msg msg = it->second.front();
-        it->second.pop_front();
-        serveRequest(msg);
-    }
-}
-
 // ---------------------------------------------------------------------
 // Request service.
 // ---------------------------------------------------------------------
@@ -186,7 +88,7 @@ MesiL2::serveGets(CacheEntry *entry, Addr line, Pid c)
         request.type = MsgType::GETS;
         request.line = line;
         request.requester = c;
-        startFetch(line, c, false, request);
+        startFetch(request, false);
         return;
     }
     if (entry->state == StMT) {
@@ -232,7 +134,7 @@ MesiL2::serveGetx(CacheEntry *entry, Addr line, Pid c)
         request.type = MsgType::GETX;
         request.line = line;
         request.requester = c;
-        startFetch(line, c, true, request);
+        startFetch(request, true);
         return;
     }
     array_.touch(*entry, eq_.now());
@@ -246,21 +148,7 @@ MesiL2::serveGetx(CacheEntry *entry, Addr line, Pid c)
         return;
     }
     // SS: invalidate sharers, send data + ack count.
-    const std::uint32_t others = entry->sharers & ~bit(c);
-    const int acks = popcount(others);
-    for (Pid p = 0; p < static_cast<Pid>(cfg_.numCores); ++p) {
-        if (others & bit(p)) {
-            send(MsgType::Inv, line, coreNode(p), Vnet::Fwd,
-                 [&](Msg &m) {
-                     m.requester = c;
-                     m.ackTarget = coreNode(c);
-                 });
-        }
-    }
-    entry->sharers = 0;
-    entry->state = StB_MT;
-    entry->pendingRequester = c;
-    entry->grantedClean = false;
+    const int acks = blockForExclusive(*entry, c);
     sendAfter(cfg_.l2AccessLatency, MsgType::Data, line, coreNode(c),
               Vnet::Response, [&](Msg &m) {
                   m.data = entry->data;
@@ -270,49 +158,30 @@ MesiL2::serveGetx(CacheEntry *entry, Addr line, Pid c)
               });
 }
 
-void
-MesiL2::startFetch(Addr line, Pid c, bool exclusive, const Msg &msg)
+int
+MesiL2::blockForExclusive(CacheEntry &entry, Pid c)
 {
-    CacheEntry *entry = array_.allocate(line);
-    if (!entry) {
-        if (!evictVictim(line)) {
-            // No stable victim yet: wait for wake() to re-serve the
-            // whole request.
-            stalls_.park(array_.setIndex(line), msg);
-            return;
+    const std::uint32_t others = entry.sharers & ~bit(c);
+    for (Pid p = 0; p < static_cast<Pid>(cfg_.numCores); ++p) {
+        if (others & bit(p)) {
+            send(MsgType::Inv, entry.line, coreNode(p), Vnet::Fwd,
+                 [&](Msg &m) {
+                     m.requester = c;
+                     m.ackTarget = coreNode(c);
+                 });
         }
-        entry = array_.allocate(line);
-        assert(entry);
     }
-    entry->state = exclusive ? StIMM : StISS;
-    entry->pendingRequester = c;
-    array_.touch(*entry, eq_.now());
-    send(MsgType::MemRead, line, kMemNode, Vnet::Mem);
+    entry.sharers = 0;
+    entry.state = StB_MT;
+    entry.pendingRequester = c;
+    entry.grantedClean = false;
+    return std::popcount(others);
 }
 
 bool
-MesiL2::evictable(const CacheEntry &e)
+MesiL2::stable(std::uint8_t state) const
 {
-    return e.state == StSS || e.state == StMT;
-}
-
-bool
-MesiL2::evictVictim(Addr line)
-{
-    CacheEntry *victim = array_.victim(line, evictable);
-    if (!victim)
-        return false;
-    doReplacement(*victim);
-    return true;
-}
-
-void
-MesiL2::wake(Addr line)
-{
-    stalls_.wake(
-        array_.setIndex(line),
-        [&] { return array_.canAllocate(line, evictable); },
-        [this](const Msg &msg) { serveRequest(msg); });
+    return state == StSS || state == StMT;
 }
 
 void
@@ -332,7 +201,7 @@ MesiL2::doReplacement(CacheEntry &entry)
         buf.state = StSS_I;
         buf.data = entry.data;
         buf.dirty = entry.dirty;
-        buf.acksLeft = popcount(entry.sharers);
+        buf.acksLeft = std::popcount(entry.sharers);
         for (Pid p = 0; p < static_cast<Pid>(cfg_.numCores); ++p) {
             if (entry.sharers & bit(p)) {
                 send(MsgType::Inv, line, coreNode(p), Vnet::Fwd,
@@ -390,21 +259,14 @@ MesiL2::serveRequest(const Msg &msg)
             it != evict_.end() && it->second.state == StMT_I &&
             it->second.owner == msg.requester) {
             table_.record(StMT_I, EvPutxOwner);
-            send(MsgType::WbAck, line, coreNode(msg.requester),
-                 Vnet::Fwd);
-            // Unless the owner's recall ack already arrived, it is
-            // still in flight and must be absorbed later.
-            if (!it->second.ownerGone)
-                ++staleRecallAcks_[line];
+            ackRecalledPutx(line, msg.requester, it->second.ownerGone);
             completeRecall(line, it->second, msg.dirty, msg.data, true);
             return;
         }
     }
 
-    if (!serving(line)) {
-        enqueueMsg(msg);
+    if (waitUnlessServing(msg))
         return;
-    }
     CacheEntry *entry = array_.find(line);
     const State st = entry ? static_cast<State>(entry->state) : StNP;
     const Pid c = msg.requester;
@@ -428,21 +290,7 @@ MesiL2::serveRequest(const Msg &msg)
             serveGetx(entry, line, c);
             return;
         }
-        const std::uint32_t others = entry->sharers & ~bit(c);
-        const int acks = popcount(others);
-        for (Pid p = 0; p < static_cast<Pid>(cfg_.numCores); ++p) {
-            if (others & bit(p)) {
-                send(MsgType::Inv, line, coreNode(p), Vnet::Fwd,
-                     [&](Msg &m) {
-                         m.requester = c;
-                         m.ackTarget = coreNode(c);
-                     });
-            }
-        }
-        entry->sharers = 0;
-        entry->state = StB_MT;
-        entry->pendingRequester = c;
-        entry->grantedClean = false;
+        const int acks = blockForExclusive(*entry, c);
         sendAfter(cfg_.l2AccessLatency, MsgType::AckCount, line,
                   coreNode(c), Vnet::Response,
                   [&](Msg &m) { m.ackCount = acks; });
@@ -568,21 +416,12 @@ MesiL2::handleMsg(const Msg &msg)
 
       case MsgType::RecallData:
       case MsgType::RecallAckNoData: {
+        if (absorbStaleRecallAck(msg, EvRecallAckNoData))
+            return;
         auto it = evict_.find(line);
-        if (it == evict_.end() && msg.type == MsgType::RecallAckNoData) {
-            if (auto sit = staleRecallAcks_.find(line);
-                sit != staleRecallAcks_.end()) {
-                table_.record(StNP, EvRecallAckNoData);
-                if (--sit->second == 0)
-                    staleRecallAcks_.erase(sit);
-                return;
-            }
-        }
-        const State st =
-            it != evict_.end() ? it->second.state : lineState(line);
-        table_.record(st, msg.type == MsgType::RecallData
-                              ? EvRecallData
-                              : EvRecallAckNoData); // Only MT_I defined.
+        table_.record(stateOf(line), msg.type == MsgType::RecallData
+                                         ? EvRecallData
+                                         : EvRecallAckNoData); // Only MT_I.
         EvictBuf &buf = it->second;
         if (msg.type == MsgType::RecallAckNoData) {
             // The owner's PUTX is in flight and completes the recall.
@@ -595,9 +434,7 @@ MesiL2::handleMsg(const Msg &msg)
 
       case MsgType::InvAck: {
         auto it = evict_.find(line);
-        const State st =
-            it != evict_.end() ? it->second.state : lineState(line);
-        table_.record(st, EvInvAckIn); // Only SS_I defined.
+        table_.record(stateOf(line), EvInvAckIn); // Only SS_I defined.
         EvictBuf &buf = it->second;
         if (--buf.acksLeft == 0) {
             if (buf.dirty)
@@ -612,16 +449,6 @@ MesiL2::handleMsg(const Msg &msg)
         throw ProtocolError("MESI-L2", kStateNames[lineState(line)],
                             msgTypeName(msg.type));
     }
-}
-
-void
-MesiL2::resetAll()
-{
-    array_.reset();
-    evict_.clear();
-    waiting_.clear();
-    stalls_.clear();
-    staleRecallAcks_.clear();
 }
 
 } // namespace mcversi::sim

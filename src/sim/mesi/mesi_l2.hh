@@ -24,22 +24,12 @@
 #ifndef MCVERSI_SIM_MESI_MESI_L2_HH
 #define MCVERSI_SIM_MESI_MESI_L2_HH
 
-#include <deque>
-#include <functional>
-#include <unordered_map>
-
-#include "common/rng.hh"
-#include "sim/cache_array.hh"
-#include "sim/config.hh"
-#include "sim/eventq.hh"
-#include "sim/network.hh"
-#include "sim/stall_queues.hh"
-#include "sim/transition_table.hh"
+#include "sim/l2_controller.hh"
 
 namespace mcversi::sim {
 
 /** One shared L2 tile with integrated directory state. */
-class MesiL2 : public MsgHandler
+class MesiL2 : public L2Controller
 {
   public:
     enum State : std::uint8_t {
@@ -76,83 +66,34 @@ class MesiL2 : public MsgHandler
     };
 
     MesiL2(int tile, const SystemConfig &cfg, EventQueue &eq, Network &net,
-           TransitionCoverage &cov, Rng rng);
+           TransitionCoverage &cov);
 
     void handleMsg(const Msg &msg) override;
 
-    /** Host-assisted reset (quiescence only). */
-    void resetAll();
-
     /** Introspection for tests. */
-    State lineState(Addr line);
-
-    /** Requests parked until their set has a victim. */
-    const SetStallQueues &stalls() const { return stalls_; }
+    State lineState(Addr line) { return static_cast<State>(stateOf(line)); }
 
   private:
-    struct EvictBuf
-    {
-        State state = StSS_I;
-        LineData data{};
-        bool dirty = false;
-        bool grantedClean = false;
-        int acksLeft = 0;
-        bool ownerGone = false;
-        Pid owner = kInitPid;
-    };
-
     void buildTable();
-    /** Stage and populate a pool-owned outbound message. */
-    Msg &buildMsg(MsgType t, Addr line, NodeId dst, Vnet vnet,
-                  const std::function<void(Msg &)> &fill);
-    void send(MsgType t, Addr line, NodeId dst, Vnet vnet,
-              const std::function<void(Msg &)> &fill = {});
-    /** Delayed send: the message is injected @p delta ticks from now. */
-    void sendAfter(Tick delta, MsgType t, Addr line, NodeId dst,
-                   Vnet vnet, const std::function<void(Msg &)> &fill = {});
-    void memWrite(Addr line, const LineData &data);
-
-    /** True if the line is in a state that serves new requests. */
-    bool serving(Addr line);
-    void enqueueMsg(const Msg &msg);
-    void drain(Addr line);
 
     /** Serve a request (GETS/GETX/UPGRADE/PUTS/PUTX) in a stable state. */
-    void serveRequest(const Msg &msg);
+    void serveRequest(const Msg &msg) override;
+    bool stable(std::uint8_t state) const override;
+    void doReplacement(CacheEntry &entry) override;
     void serveGets(CacheEntry *entry, Addr line, Pid c);
     void serveGetx(CacheEntry *entry, Addr line, Pid c);
-    /** Allocate and fetch @p line, or park @p msg if the set is full. */
-    void startFetch(Addr line, Pid c, bool exclusive, const Msg &msg);
-    /** Replacement candidates: the stable states. */
-    static bool evictable(const CacheEntry &e);
-    bool evictVictim(Addr line);
-    /** Re-serve @p line's set's parked requests (it gained a victim). */
-    void wake(Addr line);
-    void doReplacement(CacheEntry &entry);
+    /**
+     * Invalidate every sharer of SS @p entry but @p c, acks going to
+     * @p c, and block the line for @p c's exclusive grant.
+     *
+     * @return the number of acks @p c must collect
+     */
+    int blockForExclusive(CacheEntry &entry, Pid c);
     /** Finish an MT_I eviction given the owner's data response. */
     void completeRecall(Addr line, EvictBuf &buf, bool msg_dirty,
                         const LineData &msg_data, bool from_putx);
 
     static std::uint32_t bit(Pid p) { return 1u << p; }
-    static int popcount(std::uint32_t v);
-
-    int tile_;
-    const SystemConfig &cfg_;
-    EventQueue &eq_;
-    Network &net_;
-    TransitionTable table_;
-    Rng rng_;
-
-    CacheArray array_;
-    std::unordered_map<Addr, EvictBuf> evict_;
-    std::unordered_map<Addr, std::deque<Msg>> waiting_;
-    SetStallQueues stalls_;
-    /**
-     * Recalls completed by a racing PUTX still owe us a stale
-     * RecallAckNoData from the old owner (its ack and our WbAck cross);
-     * absorb them when they arrive.
-     */
-    std::unordered_map<Addr, int> staleRecallAcks_;
 };
 
 } // namespace mcversi::sim

@@ -46,7 +46,10 @@ class System
     Core &core(Pid pid) { return *cores_[static_cast<std::size_t>(pid)]; }
     L1Cache *l1(Pid pid);
 
-    /** Protocol-specific controllers, for white-box tests. */
+    /**
+     * Protocol-specific controllers, for white-box tests; nullptr for
+     * the other protocol.
+     */
     MesiL1 *mesiL1(Pid pid);
     MesiL2 *mesiL2(int tile);
     TsoccL1 *tsoccL1(Pid pid);
@@ -81,10 +84,8 @@ class System
     mc::ExecWitness witness_;
     WriteVal nextVal_ = 1;
 
-    std::vector<std::unique_ptr<MesiL1>> mesiL1s_;
-    std::vector<std::unique_ptr<MesiL2>> mesiL2s_;
-    std::vector<std::unique_ptr<TsoccL1>> tsoccL1s_;
-    std::vector<std::unique_ptr<TsoccL2>> tsoccL2s_;
+    std::vector<std::unique_ptr<L1Controller>> l1s_;
+    std::vector<std::unique_ptr<L2Controller>> l2s_;
     std::vector<std::unique_ptr<Core>> cores_;
 };
 

@@ -19,10 +19,10 @@ const std::vector<std::string> kEventNames = {
 } // namespace
 
 TsoccL1::TsoccL1(Pid pid, const SystemConfig &cfg, EventQueue &eq,
-                 Network &net, TransitionCoverage &cov, Rng rng)
-    : pid_(pid), cfg_(cfg), eq_(eq), net_(net),
-      table_(cov, "TSOCC-L1", kStateNames, kEventNames), rng_(rng),
-      array_(cfg.l1Sets, cfg.l1Ways),
+                 Network &net, TransitionCoverage &cov)
+    : L1Controller(pid, cfg, eq, net,
+                   TransitionTable(cov, "TSOCC-L1", kStateNames, kEventNames),
+                   StIS, StIM),
       lastSeen_(static_cast<std::size_t>(cfg.numCores))
 {
     buildTable();
@@ -63,59 +63,6 @@ TsoccL1::buildTable()
     def(StII, EvWbNack);
 
     def(StCtrl, EvTsReset);
-}
-
-NodeId
-TsoccL1::home(Addr line) const
-{
-    return l2Node(cfg_.homeTile(line));
-}
-
-void
-TsoccL1::send(MsgType t, Addr line, NodeId dst, Vnet vnet,
-              const std::function<void(Msg &)> &fill)
-{
-    Msg &msg = net_.stage();
-    msg.type = t;
-    msg.line = line;
-    msg.src = coreNode(pid_);
-    msg.dst = dst;
-    msg.vnet = vnet;
-    msg.requester = pid_;
-    if (fill)
-        fill(msg);
-    net_.send(&msg);
-}
-
-void
-TsoccL1::respond(ReqId id, WriteVal value, WriteVal overwritten,
-                 Tick latency)
-{
-    eq_.scheduleFnIn(
-        latency,
-        [](void *o, std::uint64_t a, std::uint64_t b, std::uint64_t c,
-           std::uint64_t) {
-            auto *self = static_cast<TsoccL1 *>(o);
-            self->hooks_.respond(CacheResp{a, b, c, false});
-        },
-        this, id, value, overwritten);
-}
-
-void
-TsoccL1::notifyLq(Addr line)
-{
-    if (hooks_.addressInvalidated)
-        hooks_.addressInvalidated(line);
-}
-
-TsoccL1::State
-TsoccL1::lineState(Addr line)
-{
-    if (auto it = evict_.find(line); it != evict_.end())
-        return it->second.state;
-    if (CacheEntry *e = array_.find(line))
-        return static_cast<State>(e->state);
-    return StI;
 }
 
 std::string
@@ -235,71 +182,10 @@ TsoccL1::selfInvalidateShared(Addr except_line, bool flag_in_flight)
     }
 }
 
-// ---------------------------------------------------------------------
-// Core interface.
-// ---------------------------------------------------------------------
-
-void
-TsoccL1::coreLoad(ReqId id, Addr addr)
-{
-    enqueue({PendingReq::Kind::Load, id, addr, 0});
-    processPending(lineAddr(addr));
-}
-
-void
-TsoccL1::coreStore(ReqId id, Addr addr, WriteVal value)
-{
-    enqueue({PendingReq::Kind::Store, id, addr, value});
-    processPending(lineAddr(addr));
-}
-
-void
-TsoccL1::coreRmw(ReqId id, Addr addr, WriteVal value)
-{
-    enqueue({PendingReq::Kind::Rmw, id, addr, value});
-    processPending(lineAddr(addr));
-}
-
-void
-TsoccL1::coreFlush(ReqId id, Addr addr)
-{
-    enqueue({PendingReq::Kind::Flush, id, addr, 0});
-    processPending(lineAddr(addr));
-}
-
-void
-TsoccL1::enqueue(const PendingReq &req)
-{
-    pending_[lineAddr(req.addr)].push_back(req);
-}
-
 bool
-TsoccL1::startMiss(Addr line, bool exclusive)
+TsoccL1::stable(std::uint8_t state) const
 {
-    CacheEntry *entry = array_.allocate(line);
-    if (!entry) {
-        if (!evictVictim(line))
-            return false;
-        entry = array_.allocate(line);
-        assert(entry);
-    }
-    entry->state = exclusive ? StIM : StIS;
-    array_.touch(*entry, eq_.now());
-    send(exclusive ? MsgType::GETX : MsgType::GETS, line, home(line),
-         Vnet::Request);
-    return true;
-}
-
-bool
-TsoccL1::evictVictim(Addr line)
-{
-    CacheEntry *victim = array_.victim(line, [](const CacheEntry &e) {
-        return e.state == StS || e.state == StM;
-    });
-    if (!victim)
-        return false;
-    doReplacement(*victim);
-    return true;
+    return state == StS || state == StM;
 }
 
 void
@@ -315,17 +201,7 @@ TsoccL1::doReplacement(CacheEntry &entry)
         return;
     }
     assert(st == StM);
-    EvictBuf buf;
-    buf.state = StMI;
-    evict_[line] = buf;
-    send(MsgType::PUTX, line, home(line), Vnet::Request, [&](Msg &m) {
-        m.data = entry.data;
-        m.hasData = true;
-        m.dirty = true;
-        m.meta = entry.meta;
-    });
-    notifyLq(line);
-    array_.free(entry);
+    writeBack(entry, StMI, true);
 }
 
 void
@@ -349,32 +225,14 @@ TsoccL1::processPending(Addr line)
             switch (req.kind) {
               case PendingReq::Kind::Load:
                 table_.record(StI, EvLoad);
-                if (!startMiss(line, false)) {
-                    eq_.scheduleFnIn(
-                        16,
-                        [](void *o, std::uint64_t a, std::uint64_t,
-                           std::uint64_t, std::uint64_t) {
-                            static_cast<TsoccL1 *>(o)->processPending(a);
-                        },
-                        this, line);
-                    return;
-                }
+                startMiss(line, false);
                 return;
               case PendingReq::Kind::Store:
               case PendingReq::Kind::Rmw:
                 table_.record(StI, req.kind == PendingReq::Kind::Rmw
                                        ? EvRmw
                                        : EvStore);
-                if (!startMiss(line, true)) {
-                    eq_.scheduleFnIn(
-                        16,
-                        [](void *o, std::uint64_t a, std::uint64_t,
-                           std::uint64_t, std::uint64_t) {
-                            static_cast<TsoccL1 *>(o)->processPending(a);
-                        },
-                        this, line);
-                    return;
-                }
+                startMiss(line, true);
                 return;
               case PendingReq::Kind::Flush:
                 table_.record(StI, EvFlush);
@@ -458,25 +316,11 @@ TsoccL1::processPending(Addr line)
                 q.pop_front();
                 continue;
               }
-              case PendingReq::Kind::Flush: {
+              case PendingReq::Kind::Flush:
                 table_.record(StM, EvFlush);
-                EvictBuf buf;
-                buf.state = StMI;
-                buf.flushPending = true;
-                buf.flushReq = req.id;
-                evict_[line] = buf;
-                send(MsgType::PUTX, line, home(line), Vnet::Request,
-                     [&](Msg &m) {
-                         m.data = entry->data;
-                         m.hasData = true;
-                         m.dirty = true;
-                         m.meta = entry->meta;
-                     });
-                notifyLq(line);
-                array_.free(*entry);
+                writeBack(*entry, StMI, true, req.id);
                 q.pop_front();
                 return;
-              }
             }
             break;
 
@@ -514,7 +358,7 @@ TsoccL1::handleMsg(const Msg &msg)
 
     if (auto it = evict_.find(line); it != evict_.end()) {
         EvictBuf &buf = it->second;
-        const State st = buf.state;
+        const auto st = static_cast<State>(buf.state);
         switch (msg.type) {
           case MsgType::Recall:
             table_.record(st, EvRecall);
@@ -527,17 +371,11 @@ TsoccL1::handleMsg(const Msg &msg)
             notifyLq(line);
             return;
           case MsgType::WbAck:
-          case MsgType::WbNack: {
+          case MsgType::WbNack:
             table_.record(st, msg.type == MsgType::WbAck ? EvWbAck
                                                          : EvWbNack);
-            const bool flush_pending = buf.flushPending;
-            const ReqId flush_req = buf.flushReq;
-            evict_.erase(it);
-            if (flush_pending)
-                respond(flush_req, 0, 0, 1);
-            processPending(line);
+            retireWriteback(it);
             return;
-          }
           default:
             table_.record(st, EvData); // Undefined: throws.
             return;
@@ -554,29 +392,7 @@ TsoccL1::handleMsg(const Msg &msg)
             if (entry->consumeFlagged) {
                 // Stale fill (self-invalidation crossed it): consume
                 // once, flagged, and do not install.
-                auto pit = pending_.find(line);
-                if (pit != pending_.end()) {
-                    auto &q = pit->second;
-                    for (auto qit = q.begin(); qit != q.end();) {
-                        if (qit->kind == PendingReq::Kind::Load) {
-                            eq_.scheduleFnIn(
-                                1,
-                                [](void *o, std::uint64_t a,
-                                   std::uint64_t b, std::uint64_t,
-                                   std::uint64_t) {
-                                    auto *self =
-                                        static_cast<TsoccL1 *>(o);
-                                    self->hooks_.respond(
-                                        CacheResp{a, b, 0, true});
-                                },
-                                this, qit->id,
-                                msg.data.word(qit->addr));
-                            qit = q.erase(qit);
-                        } else {
-                            ++qit;
-                        }
-                    }
-                }
+                answerQueuedLoads(line, msg.data, true);
                 array_.free(*entry);
                 processPending(line);
                 return;
@@ -620,9 +436,7 @@ TsoccL1::handleMsg(const Msg &msg)
 void
 TsoccL1::resetAll()
 {
-    array_.reset();
-    evict_.clear();
-    pending_.clear();
+    L1Controller::resetAll();
     for (Seen &seen : lastSeen_)
         seen = Seen{};
     // Keep curTs_/curEpoch_: timestamps are global machine state, not

@@ -29,24 +29,15 @@
 #ifndef MCVERSI_SIM_TSOCC_TSOCC_L1_HH
 #define MCVERSI_SIM_TSOCC_TSOCC_L1_HH
 
-#include <deque>
-#include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "common/rng.hh"
-#include "sim/cache_array.hh"
-#include "sim/config.hh"
-#include "sim/eventq.hh"
-#include "sim/network.hh"
-#include "sim/ports.hh"
-#include "sim/transition_table.hh"
+#include "sim/l1_controller.hh"
 
 namespace mcversi::sim {
 
 /** Private L1 controller for the TSO-CC protocol. */
-class TsoccL1 : public L1Cache, public MsgHandler
+class TsoccL1 : public L1Controller
 {
   public:
     enum State : std::uint8_t {
@@ -78,19 +69,12 @@ class TsoccL1 : public L1Cache, public MsgHandler
     };
 
     TsoccL1(Pid pid, const SystemConfig &cfg, EventQueue &eq, Network &net,
-            TransitionCoverage &cov, Rng rng);
-
-    void setHooks(CoreHooks hooks) override { hooks_ = std::move(hooks); }
-
-    void coreLoad(ReqId id, Addr addr) override;
-    void coreStore(ReqId id, Addr addr, WriteVal value) override;
-    void coreRmw(ReqId id, Addr addr, WriteVal value) override;
-    void coreFlush(ReqId id, Addr addr) override;
+            TransitionCoverage &cov);
 
     void handleMsg(const Msg &msg) override;
     void resetAll() override;
 
-    State lineState(Addr line);
+    State lineState(Addr line) { return static_cast<State>(stateOf(line)); }
 
     /** One-line state summary for deadlock diagnosis. */
     std::string debugSummary();
@@ -108,34 +92,10 @@ class TsoccL1 : public L1Cache, public MsgHandler
     std::uint64_t selfInvalidations() const { return selfInvs_; }
 
   private:
-    struct PendingReq
-    {
-        enum class Kind { Load, Store, Rmw, Flush } kind;
-        ReqId id;
-        Addr addr;
-        WriteVal value;
-    };
-
-    struct EvictBuf
-    {
-        State state = StMI;
-        bool flushPending = false;
-        ReqId flushReq = 0;
-    };
-
     void buildTable();
-    NodeId home(Addr line) const;
-    void send(MsgType t, Addr line, NodeId dst, Vnet vnet,
-              const std::function<void(Msg &)> &fill = {});
-    void respond(ReqId id, WriteVal value, WriteVal overwritten,
-                 Tick latency);
-    void notifyLq(Addr line);
-
-    void enqueue(const PendingReq &req);
-    void processPending(Addr line);
-    bool startMiss(Addr line, bool exclusive);
-    bool evictVictim(Addr line);
-    void doReplacement(CacheEntry &entry);
+    void processPending(Addr line) override;
+    bool stable(std::uint8_t state) const override;
+    void doReplacement(CacheEntry &entry) override;
 
     /** Advance the write timestamp machinery after one store. */
     void stampWrite(CacheEntry &entry);
@@ -152,18 +112,6 @@ class TsoccL1 : public L1Cache, public MsgHandler
      *        workload-level livelock watchdog.
      */
     void selfInvalidateShared(Addr except_line, bool flag_in_flight);
-
-    Pid pid_;
-    const SystemConfig &cfg_;
-    EventQueue &eq_;
-    Network &net_;
-    TransitionTable table_;
-    Rng rng_;
-    CoreHooks hooks_;
-
-    CacheArray array_;
-    std::unordered_map<Addr, EvictBuf> evict_;
-    std::unordered_map<Addr, std::deque<PendingReq>> pending_;
 
     std::vector<Seen> lastSeen_;
     std::uint32_t curTs_ = 1;

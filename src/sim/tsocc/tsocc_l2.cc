@@ -19,10 +19,10 @@ const std::vector<std::string> kEventNames = {
 } // namespace
 
 TsoccL2::TsoccL2(int tile, const SystemConfig &cfg, EventQueue &eq,
-                 Network &net, TransitionCoverage &cov, Rng rng)
-    : tile_(tile), cfg_(cfg), eq_(eq), net_(net),
-      table_(cov, "TSOCC-L2", kStateNames, kEventNames), rng_(rng),
-      array_(cfg.l2SetsPerTile, cfg.l2Ways)
+                 Network &net, TransitionCoverage &cov)
+    : L2Controller(tile, cfg, eq, net,
+                   TransitionTable(cov, "TSOCC-L2", kStateNames, kEventNames),
+                   StIU_S, StIU_X)
 {
     buildTable();
 }
@@ -63,83 +63,6 @@ TsoccL2::buildTable()
 }
 
 void
-TsoccL2::send(MsgType t, Addr line, NodeId dst, Vnet vnet,
-              const std::function<void(Msg &)> &fill)
-{
-    net_.send(&buildMsg(t, line, dst, vnet, fill));
-}
-
-Msg &
-TsoccL2::buildMsg(MsgType t, Addr line, NodeId dst, Vnet vnet,
-                  const std::function<void(Msg &)> &fill)
-{
-    Msg &msg = net_.stage();
-    msg.type = t;
-    msg.line = line;
-    msg.src = l2Node(tile_);
-    msg.dst = dst;
-    msg.vnet = vnet;
-    if (fill)
-        fill(msg);
-    return msg;
-}
-
-void
-TsoccL2::sendAfter(Tick delta, MsgType t, Addr line, NodeId dst,
-                   Vnet vnet, const std::function<void(Msg &)> &fill)
-{
-    // Build now (matches the old by-value thunk captures); latency,
-    // FIFO order and jitter are drawn at injection time.
-    eq_.scheduleNetSend(eq_.now() + delta, &net_,
-                        &buildMsg(t, line, dst, vnet, fill));
-}
-
-void
-TsoccL2::memWrite(Addr line, const LineData &data)
-{
-    send(MsgType::MemWrite, line, kMemNode, Vnet::Mem, [&](Msg &m) {
-        m.data = data;
-        m.hasData = true;
-    });
-}
-
-TsoccL2::State
-TsoccL2::lineState(Addr line)
-{
-    if (evict_.count(line))
-        return StO_I;
-    if (CacheEntry *e = array_.find(line))
-        return static_cast<State>(e->state);
-    return StNP;
-}
-
-bool
-TsoccL2::serving(Addr line)
-{
-    const State st = lineState(line);
-    return st == StNP || st == StU || st == StO;
-}
-
-void
-TsoccL2::drain(Addr line)
-{
-    for (;;) {
-        auto it = waiting_.find(line);
-        if (it == waiting_.end())
-            return;
-        if (it->second.empty()) {
-            waiting_.erase(it);
-            return;
-        }
-        if (!serving(line))
-            return;
-        Msg msg = it->second.front();
-        it->second.pop_front();
-        serveRequest(msg);
-    }
-}
-
-void
 TsoccL2::grant(CacheEntry &entry, Pid c, bool exclusive)
 {
     const Addr line = entry.line;
@@ -152,49 +75,10 @@ TsoccL2::grant(CacheEntry &entry, Pid c, bool exclusive)
               });
 }
 
-void
-TsoccL2::startFetch(Addr line, Pid c, bool exclusive, const Msg &msg)
-{
-    CacheEntry *entry = array_.allocate(line);
-    if (!entry) {
-        if (!evictVictim(line)) {
-            // No stable victim yet: wait for wake() to re-serve the
-            // whole request.
-            stalls_.park(array_.setIndex(line), msg);
-            return;
-        }
-        entry = array_.allocate(line);
-        assert(entry);
-    }
-    entry->state = exclusive ? StIU_X : StIU_S;
-    entry->pendingRequester = c;
-    array_.touch(*entry, eq_.now());
-    send(MsgType::MemRead, line, kMemNode, Vnet::Mem);
-}
-
 bool
-TsoccL2::evictable(const CacheEntry &e)
+TsoccL2::stable(std::uint8_t state) const
 {
-    return e.state == StU || e.state == StO;
-}
-
-bool
-TsoccL2::evictVictim(Addr line)
-{
-    CacheEntry *victim = array_.victim(line, evictable);
-    if (!victim)
-        return false;
-    doReplacement(*victim);
-    return true;
-}
-
-void
-TsoccL2::wake(Addr line)
-{
-    stalls_.wake(
-        array_.setIndex(line),
-        [&] { return array_.canAllocate(line, evictable); },
-        [this](const Msg &msg) { serveRequest(msg); });
+    return state == StU || state == StO;
 }
 
 void
@@ -215,6 +99,7 @@ TsoccL2::doReplacement(CacheEntry &entry)
     }
     assert(st == StO);
     EvictBuf buf;
+    buf.state = StO_I;
     buf.owner = entry.owner;
     send(MsgType::Recall, line, coreNode(entry.owner), Vnet::Fwd);
     evict_[line] = buf;
@@ -259,9 +144,7 @@ TsoccL2::serveRequest(const Msg &msg)
         if (auto it = evict_.find(line);
             it != evict_.end() && it->second.owner == c) {
             table_.record(StO_I, EvPutxOwner);
-            send(MsgType::WbAck, line, coreNode(c), Vnet::Fwd);
-            if (!it->second.done)
-                ++staleRecallAcks_[line];
+            ackRecalledPutx(line, c, it->second.ownerGone);
             if (msg.meta.valid())
                 metaStore_[line] = msg.meta;
             memWrite(line, msg.data);
@@ -272,18 +155,14 @@ TsoccL2::serveRequest(const Msg &msg)
         if (CacheEntry *entry = array_.find(line);
             entry && entry->state == StO_R && entry->owner == c) {
             table_.record(StO_R, EvPutxOwner);
-            send(MsgType::WbAck, line, coreNode(c), Vnet::Fwd);
-            if (!entry->gotOwnerData)
-                ++staleRecallAcks_[line];
+            ackRecalledPutx(line, c, entry->gotOwnerData);
             finishRecall(entry, line, msg);
             return;
         }
     }
 
-    if (!serving(line)) {
-        waiting_[line].push_back(msg);
+    if (waitUnlessServing(msg))
         return;
-    }
 
     CacheEntry *entry = array_.find(line);
     const State st = entry ? static_cast<State>(entry->state) : StNP;
@@ -292,7 +171,7 @@ TsoccL2::serveRequest(const Msg &msg)
       case MsgType::GETS:
         table_.record(st, EvGETS);
         if (!entry) {
-            startFetch(line, c, false, msg);
+            startFetch(msg, false);
             return;
         }
         array_.touch(*entry, eq_.now());
@@ -310,7 +189,7 @@ TsoccL2::serveRequest(const Msg &msg)
       case MsgType::GETX:
         table_.record(st, EvGETX);
         if (!entry) {
-            startFetch(line, c, true, msg);
+            startFetch(msg, true);
             return;
         }
         array_.touch(*entry, eq_.now());
@@ -402,16 +281,9 @@ TsoccL2::handleMsg(const Msg &msg)
 
       case MsgType::RecallData:
       case MsgType::RecallAckNoData: {
+        if (absorbStaleRecallAck(msg, EvRecallAckNoData))
+            return;
         const bool has_data = (msg.type == MsgType::RecallData);
-        if (!has_data && !evict_.count(line)) {
-            if (auto sit = staleRecallAcks_.find(line);
-                sit != staleRecallAcks_.end()) {
-                table_.record(StNP, EvRecallAckNoData);
-                if (--sit->second == 0)
-                    staleRecallAcks_.erase(sit);
-                return;
-            }
-        }
         if (auto it = evict_.find(line); it != evict_.end()) {
             table_.record(StO_I, has_data ? EvRecallData
                                           : EvRecallAckNoData);
@@ -422,7 +294,7 @@ TsoccL2::handleMsg(const Msg &msg)
                 evict_.erase(it);
                 drain(line);
             } else {
-                it->second.done = true; // Owner's PUTX will complete it.
+                it->second.ownerGone = true; // Owner's PUTX will complete it.
             }
             return;
         }
@@ -457,7 +329,7 @@ TsoccL2::debugSummary()
     std::vector<Addr> stuck;
     array_.forEachValid([&](CacheEntry &e) {
         ++hist[e.state];
-        if (e.state != StU && e.state != StO)
+        if (!stable(e.state))
             stuck.push_back(e.line);
     });
     std::ostringstream os;
@@ -476,11 +348,7 @@ TsoccL2::debugSummary()
 void
 TsoccL2::resetAll()
 {
-    array_.reset();
-    evict_.clear();
-    waiting_.clear();
-    stalls_.clear();
-    staleRecallAcks_.clear();
+    L2Controller::resetAll();
     metaStore_.clear();
 }
 

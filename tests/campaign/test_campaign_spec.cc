@@ -151,10 +151,16 @@ TEST(CampaignSpec, BadValuesRejected)
     EXPECT_THROW(spec.set("seed=abc"), std::invalid_argument);
     EXPECT_THROW(spec.set("seed=-5"), std::invalid_argument);
     EXPECT_THROW(spec.set("seed=12junk"), std::invalid_argument);
+    // std::stoull skips whitespace and wraps a negation: " -1" must not
+    // become 2^64 - 1.
+    EXPECT_THROW(spec.set("seed= -1"), std::invalid_argument);
+    EXPECT_THROW(spec.set("max-runs= -5"), std::invalid_argument);
     EXPECT_THROW(spec.set("test-size=0"), std::invalid_argument);
     EXPECT_THROW(spec.set("iterations="), std::invalid_argument);
     EXPECT_THROW(spec.set("max-seconds=nope"), std::invalid_argument);
     EXPECT_THROW(spec.set("max-seconds=-1"), std::invalid_argument);
+    EXPECT_THROW(spec.set("max-seconds=nan"), std::invalid_argument);
+    EXPECT_THROW(spec.set("max-seconds=inf"), std::invalid_argument);
     EXPECT_THROW(spec.set("record-ndt=maybe"), std::invalid_argument);
     EXPECT_THROW(spec.set("protocol=alpha"), std::invalid_argument);
 }

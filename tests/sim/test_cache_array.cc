@@ -23,6 +23,10 @@ TEST(CacheArray, FindMissOnEmpty)
 {
     CacheArray arr(4, 2);
     EXPECT_EQ(arr.find(0x0), nullptr);
+    // No entry exists before the first allocate(): every way is free.
+    const auto none = [](const CacheEntry &) { return false; };
+    EXPECT_EQ(arr.victim(0x0, none), nullptr);
+    EXPECT_TRUE(arr.canAllocate(0x0, none));
 }
 
 TEST(CacheArray, AllocateAndFind)

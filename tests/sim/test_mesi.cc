@@ -47,7 +47,6 @@ struct MesiFixture
 {
     SystemConfig cfg;
     EventQueue eq;
-    Rng rng{7};
     Network net{eq, Rng(8)};
     MainMemory mem{eq, net, Rng(9)};
     TransitionCoverage cov;
@@ -61,14 +60,12 @@ struct MesiFixture
         cfg.bug = bug;
         net.registerNode(kMemNode, &mem);
         for (int t = 0; t < cfg.numL2Tiles(); ++t) {
-            l2s.push_back(std::make_unique<MesiL2>(t, cfg, eq, net, cov,
-                                                   Rng(100 + t)));
+            l2s.push_back(std::make_unique<MesiL2>(t, cfg, eq, net, cov));
             net.registerNode(l2Node(t), l2s.back().get());
         }
         stubs.resize(static_cast<std::size_t>(cores));
         for (Pid p = 0; p < cores; ++p) {
-            l1s.push_back(std::make_unique<MesiL1>(p, cfg, eq, net, cov,
-                                                   Rng(200 + p)));
+            l1s.push_back(std::make_unique<MesiL1>(p, cfg, eq, net, cov));
             net.registerNode(coreNode(p), l1s.back().get());
             CoreHooks hooks;
             CoreStub *stub = &stubs[static_cast<std::size_t>(p)];
@@ -414,6 +411,31 @@ TEST(MesiProtocol, ResetAllClearsState)
     EXPECT_EQ(f.l2s[0]->lineState(kLineA), MesiL2::StNP);
 }
 
+TEST(MesiProtocol, FetchWithNoStableVictimRetries)
+{
+    // Five loads to one 4-way L1 set (stride 128 lines): the fifth finds
+    // every way in IS, so it retries until a fill turns a line stable
+    // and then evicts that line.
+    MesiFixture f(BugId::None, 1);
+    const Addr set_stride = 128 * kLineBytes;
+    for (int i = 0; i < 5; ++i) {
+        f.l1s[0]->coreLoad(static_cast<ReqId>(i + 1),
+                           static_cast<Addr>(i) * set_stride);
+    }
+    EXPECT_EQ(f.l1s[0]->lineState(4 * set_stride), MesiL1::StI)
+        << "no way is free for the fifth fetch";
+    f.run();
+    ASSERT_EQ(f.stubs[0].resps.size(), 5u);
+    EXPECT_EQ(f.l1s[0]->lineState(4 * set_stride), MesiL1::StE);
+    int evicted = 0;
+    for (int i = 0; i < 4; ++i) {
+        if (f.l1s[0]->lineState(static_cast<Addr>(i) * set_stride) ==
+            MesiL1::StI)
+            ++evicted;
+    }
+    EXPECT_EQ(evicted, 1);
+}
+
 // ---------------------------------------------------------------------
 // Stall-and-wake: a miss whose L2 set holds no stable victim parks on
 // the set's queue and is re-served when a line of the set turns stable.
@@ -449,7 +471,7 @@ struct MesiL2Rig
     Network net{eq, Rng(8)};
     MainMemory mem{eq, net, Rng(9)};
     TransitionCoverage cov;
-    MesiL2 l2{0, cfg, eq, net, cov, Rng(100)};
+    MesiL2 l2{0, cfg, eq, net, cov};
     std::vector<MsgLog> cores = std::vector<MsgLog>(8);
 
     MesiL2Rig()

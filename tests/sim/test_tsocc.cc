@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 
@@ -54,14 +55,14 @@ struct TsoccFixture
         cfg.tsoccMaxTs = 6;
         net.registerNode(kMemNode, &mem);
         for (int t = 0; t < cfg.numL2Tiles(); ++t) {
-            l2s.push_back(std::make_unique<TsoccL2>(
-                t, cfg, eq, net, cov, Rng(100 + t)));
+            l2s.push_back(
+                std::make_unique<TsoccL2>(t, cfg, eq, net, cov));
             net.registerNode(l2Node(t), l2s.back().get());
         }
         stubs.resize(static_cast<std::size_t>(cores));
         for (Pid p = 0; p < cores; ++p) {
-            l1s.push_back(std::make_unique<TsoccL1>(
-                p, cfg, eq, net, cov, Rng(200 + p)));
+            l1s.push_back(
+                std::make_unique<TsoccL1>(p, cfg, eq, net, cov));
             net.registerNode(coreNode(p), l1s.back().get());
             CoreHooks hooks;
             CoreStub *stub = &stubs[static_cast<std::size_t>(p)];
@@ -365,6 +366,53 @@ TEST(TsoccProtocol, RmwFenceSelfInvalidatesSharedLines)
     EXPECT_TRUE(f.gotInv(0, kLineA));
 }
 
+TEST(TsoccProtocol, FenceFlagsLoadWaitingOnFill)
+{
+    // A load waits on an IS fill when an RMW fence self-invalidates.
+    // The fill's data predates the fence, so the load is answered
+    // invalidated-in-flight and the line is not installed.
+    TsoccFixture f;
+    f.l1s[0]->coreStore(1, kLineB, 5);
+    f.run();
+    ASSERT_EQ(f.l1s[0]->lineState(kLineB), TsoccL1::StM);
+    f.l1s[0]->coreLoad(2, kLineA);
+    ASSERT_EQ(f.l1s[0]->lineState(kLineA), TsoccL1::StIS);
+    f.l1s[0]->coreRmw(3, kLineB, 6);
+    f.run();
+    const auto &resps = f.stubs[0].resps;
+    const auto load =
+        std::find_if(resps.begin(), resps.end(),
+                     [](const CacheResp &r) { return r.id == 2; });
+    ASSERT_NE(load, resps.end());
+    EXPECT_TRUE(load->invalidatedInFlight);
+    EXPECT_EQ(f.l1s[0]->lineState(kLineA), TsoccL1::StI);
+}
+
+TEST(TsoccProtocol, FetchWithNoStableVictimRetries)
+{
+    // Five loads to one 4-way L1 set (stride 128 lines): the fifth finds
+    // every way in IS, so it retries until a fill turns a line stable
+    // and then evicts that line.
+    TsoccFixture f(BugId::None, 1);
+    const Addr set_stride = 128 * kLineBytes;
+    for (int i = 0; i < 5; ++i) {
+        f.l1s[0]->coreLoad(static_cast<ReqId>(i + 1),
+                           static_cast<Addr>(i) * set_stride);
+    }
+    EXPECT_EQ(f.l1s[0]->lineState(4 * set_stride), TsoccL1::StI)
+        << "no way is free for the fifth fetch";
+    f.run();
+    ASSERT_EQ(f.stubs[0].resps.size(), 5u);
+    EXPECT_EQ(f.l1s[0]->lineState(4 * set_stride), TsoccL1::StS);
+    int evicted = 0;
+    for (int i = 0; i < 4; ++i) {
+        if (f.l1s[0]->lineState(static_cast<Addr>(i) * set_stride) ==
+            TsoccL1::StI)
+            ++evicted;
+    }
+    EXPECT_EQ(evicted, 1);
+}
+
 // ---------------------------------------------------------------------
 // Stall-and-wake: a miss whose L2 set holds no stable victim parks on
 // the set's queue and is re-served when a line of the set turns stable.
@@ -400,7 +448,7 @@ struct TsoccL2Rig
     Network net{eq, Rng(8)};
     MainMemory mem{eq, net, Rng(9)};
     TransitionCoverage cov;
-    TsoccL2 l2{0, cfg, eq, net, cov, Rng(100)};
+    TsoccL2 l2{0, cfg, eq, net, cov};
     std::vector<MsgLog> cores = std::vector<MsgLog>(8);
 
     TsoccL2Rig()

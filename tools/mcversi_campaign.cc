@@ -33,6 +33,7 @@
  *       json=campaign.json
  */
 
+#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -192,10 +193,10 @@ parseSeconds(const std::string &key, const std::string &value)
     } catch (const std::exception &) {
         pos = std::string::npos;
     }
-    if (pos != value.size() || v < 0.0) {
+    if (pos != value.size() || !std::isfinite(v) || v < 0.0) {
         throw std::invalid_argument("bad value '" + value +
                                     "' for key '" + key +
-                                    "': expected non-negative "
+                                    "': expected finite non-negative "
                                     "seconds");
     }
     return v;
