@@ -66,13 +66,10 @@ Core::start(Tick start_tick)
     // value-producing instruction (load or RMW).
     int last_value_producer = -1;
     for (std::size_t i = 0; i < n; ++i) {
-        const InstrKind k = program_.instrs[i].kind;
-        if (k == InstrKind::LoadAddrDep)
+        if (program_.instrs[i].kind == InstrKind::LoadAddrDep)
             dyn_[i].depSlot = last_value_producer;
-        if (k == InstrKind::Load || k == InstrKind::LoadAddrDep ||
-            k == InstrKind::Rmw) {
+        if (producesValue(i))
             last_value_producer = static_cast<int>(i);
-        }
     }
     fetchPtr_ = 0;
     retirePtr_ = 0;
@@ -95,6 +92,12 @@ Core::isLoad(std::size_t slot) const
 {
     const InstrKind k = program_.instrs[slot].kind;
     return k == InstrKind::Load || k == InstrKind::LoadAddrDep;
+}
+
+bool
+Core::producesValue(std::size_t slot) const
+{
+    return isLoad(slot) || program_.instrs[slot].kind == InstrKind::Rmw;
 }
 
 void
@@ -199,7 +202,7 @@ Core::tryIssueLoad(std::size_t slot)
     }
     d.st = LoadState::Issued;
     const ReqId id = nextReq_++;
-    loadReqs_[id] = slot;
+    loadReqs_.add(id, slot);
     l1_->coreLoad(id, d.addr);
 }
 
@@ -235,11 +238,15 @@ Core::markPerformed(std::size_t slot, WriteVal value, bool flagged)
 void
 Core::wakeDependents(std::size_t slot)
 {
+    // start() gives a LoadAddrDep the nearest preceding value producer,
+    // so only the next producer after @p slot can depend on it.
     for (std::size_t i = slot + 1; i < fetchPtr_; ++i) {
         if (dyn_[i].depSlot == static_cast<int>(slot) &&
             dyn_[i].st == LoadState::Waiting) {
             eq_.scheduleFnIn(1, &Core::evTryIssueLoad, this, i);
         }
+        if (producesValue(i))
+            break;
     }
 }
 
@@ -287,9 +294,12 @@ Core::squashLoad(std::size_t slot)
     } else {
         return;
     }
+    // As in wakeDependents, only the next producer can depend on us.
     for (std::size_t j = slot + 1; j < fetchPtr_; ++j) {
         if (dyn_[j].depSlot == static_cast<int>(slot))
             squashLoad(j);
+        if (producesValue(j))
+            break;
     }
 }
 
@@ -332,9 +342,8 @@ Core::onAddressInvalidated(Addr line)
 void
 Core::onCacheResp(const CacheResp &resp)
 {
-    if (auto it = loadReqs_.find(resp.id); it != loadReqs_.end()) {
-        const std::size_t slot = it->second;
-        loadReqs_.erase(it);
+    if (const auto taken = loadReqs_.take(resp.id)) {
+        const std::size_t slot = *taken;
         if (done_ || slot < retirePtr_)
             return;
         DynInstr &d = dyn_[slot];
@@ -353,9 +362,8 @@ Core::onCacheResp(const CacheResp &resp)
         markPerformed(slot, resp.value, resp.invalidatedInFlight);
         return;
     }
-    if (auto it = rmwReqs_.find(resp.id); it != rmwReqs_.end()) {
-        const std::size_t slot = it->second;
-        rmwReqs_.erase(it);
+    if (const auto taken = rmwReqs_.take(resp.id)) {
+        const std::size_t slot = *taken;
         DynInstr &d = dyn_[slot];
         d.rmwOld = resp.value;
         d.st = LoadState::Performed;
@@ -363,9 +371,8 @@ Core::onCacheResp(const CacheResp &resp)
         schedulePump();
         return;
     }
-    if (auto it = flushReqs_.find(resp.id); it != flushReqs_.end()) {
-        const std::size_t slot = it->second;
-        flushReqs_.erase(it);
+    if (const auto taken = flushReqs_.take(resp.id)) {
+        const std::size_t slot = *taken;
         dyn_[slot].st = LoadState::Performed;
         schedulePump();
         return;
@@ -457,7 +464,7 @@ Core::retireLoop()
                     return;
                 d.issued = true;
                 const ReqId id = nextReq_++;
-                rmwReqs_[id] = slot;
+                rmwReqs_.add(id, slot);
                 l1_->coreRmw(id, d.addr, d.value);
             }
             return;
@@ -471,7 +478,7 @@ Core::retireLoop()
             if (!d.issued) {
                 d.issued = true;
                 const ReqId id = nextReq_++;
-                flushReqs_[id] = slot;
+                flushReqs_.add(id, slot);
                 l1_->coreFlush(id, d.addr);
             }
             return;

@@ -25,8 +25,9 @@
 #define MCVERSI_SIM_CPU_CORE_HH
 
 #include <functional>
+#include <optional>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -103,6 +104,38 @@ class Core
         std::uint8_t replays = 0;
     };
 
+    /**
+     * Outstanding L1 requests of one kind as flat (id, slot) pairs.
+     * There are at most as many as instructions in the ROB, so a
+     * linear scan beats hashing, and clear() keeps the capacity.
+     */
+    class ReqSlots
+    {
+      public:
+        void add(ReqId id, std::size_t slot) { reqs_.emplace_back(id, slot); }
+
+        /** Remove request @p id; its slot, or nullopt if not ours. */
+        std::optional<std::size_t>
+        take(ReqId id)
+        {
+            for (auto &req : reqs_) {
+                if (req.first == id) {
+                    const std::size_t slot = req.second;
+                    req = reqs_.back();
+                    reqs_.pop_back();
+                    return slot;
+                }
+            }
+            return std::nullopt;
+        }
+
+        std::size_t size() const { return reqs_.size(); }
+        void clear() { reqs_.clear(); }
+
+      private:
+        std::vector<std::pair<ReqId, std::size_t>> reqs_;
+    };
+
     // L1 hooks.
     void onCacheResp(const CacheResp &resp);
     void onAddressInvalidated(Addr line);
@@ -132,6 +165,8 @@ class Core
     void squashLoad(std::size_t slot);
     void tryDrainStore();
     bool isLoad(std::size_t slot) const;
+    /** True for the instructions a LoadAddrDep may depend on. */
+    bool producesValue(std::size_t slot) const;
 
     Pid pid_;
     const SystemConfig &cfg_;
@@ -153,9 +188,9 @@ class Core
     bool pumpScheduled_ = false;
 
     ReqId nextReq_ = 1;
-    std::unordered_map<ReqId, std::size_t> loadReqs_;
-    std::unordered_map<ReqId, std::size_t> rmwReqs_;
-    std::unordered_map<ReqId, std::size_t> flushReqs_;
+    ReqSlots loadReqs_;
+    ReqSlots rmwReqs_;
+    ReqSlots flushReqs_;
     ReqId storeReq_ = 0;
 
     std::uint64_t squashes_ = 0;

@@ -14,8 +14,8 @@
 #define MCVERSI_SIM_CPU_LSQ_HH
 
 #include <cstddef>
-#include <deque>
 #include <optional>
+#include <vector>
 
 #include "common/rng.hh"
 #include "common/types.hh"
@@ -45,6 +45,10 @@ class StoreQueue
     void
     push(std::size_t slot, Addr addr, WriteVal value)
     {
+        // Sized once, by the first store rather than the constructor;
+        // clear() and pop() keep the capacity.
+        if (entries_.capacity() == 0)
+            entries_.reserve(capacity_);
         entries_.push_back(Entry{slot, addr, value, false, false});
     }
 
@@ -141,11 +145,9 @@ class StoreQueue
 
     void clear() { entries_.clear(); }
 
-    const std::deque<Entry> &entries() const { return entries_; }
-
   private:
     std::size_t capacity_;
-    std::deque<Entry> entries_;
+    std::vector<Entry> entries_; ///< oldest first
 };
 
 } // namespace mcversi::sim

@@ -17,8 +17,8 @@ L1Controller::L1Controller(Pid pid, const SystemConfig &cfg, EventQueue &eq,
 std::uint8_t
 L1Controller::stateOf(Addr line)
 {
-    if (auto it = evict_.find(line); it != evict_.end())
-        return it->second.state;
+    if (const EvictBuf *buf = evict_.find(line))
+        return buf->state;
     if (CacheEntry *e = array_.find(line))
         return e->state;
     return 0;
@@ -126,27 +126,24 @@ void
 L1Controller::answerQueuedLoads(Addr line, const LineData &data,
                                 bool flagged)
 {
-    auto it = pending_.find(line);
-    if (it == pending_.end())
+    Fifo<PendingReq> *q = pending_.find(line);
+    if (!q)
         return;
-    auto &q = it->second;
-    for (auto qit = q.begin(); qit != q.end();) {
-        if (qit->kind == PendingReq::Kind::Load) {
-            respond(qit->id, data.word(qit->addr), 0, 1, flagged);
-            qit = q.erase(qit);
-        } else {
-            ++qit;
-        }
-    }
+    q->eraseIf([&](const PendingReq &req) {
+        if (req.kind != PendingReq::Kind::Load)
+            return false;
+        respond(req.id, data.word(req.addr), 0, 1, flagged);
+        return true;
+    });
 }
 
 void
-L1Controller::retireWriteback(EvictMap::iterator it)
+L1Controller::retireWriteback(Addr line)
 {
-    const Addr line = it->first;
-    const bool flush_pending = it->second.flushPending;
-    const ReqId flush_req = it->second.flushReq;
-    evict_.erase(it);
+    const EvictBuf &buf = *evict_.find(line);
+    const bool flush_pending = buf.flushPending;
+    const ReqId flush_req = buf.flushReq;
+    evict_.erase(line);
     if (flush_pending)
         respond(flush_req, 0, 0, 1);
     processPending(line);

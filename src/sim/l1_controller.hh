@@ -15,13 +15,13 @@
 #ifndef MCVERSI_SIM_L1_CONTROLLER_HH
 #define MCVERSI_SIM_L1_CONTROLLER_HH
 
-#include <deque>
 #include <optional>
-#include <unordered_map>
 
 #include "sim/cache_array.hh"
 #include "sim/config.hh"
 #include "sim/eventq.hh"
+#include "sim/fifo.hh"
+#include "sim/line_table.hh"
 #include "sim/network.hh"
 #include "sim/ports.hh"
 #include "sim/transition_table.hh"
@@ -136,12 +136,11 @@ class L1Controller : public L1Cache, public MsgHandler
      */
     void answerQueuedLoads(Addr line, const LineData &data, bool flagged);
 
-    using EvictMap = std::unordered_map<Addr, EvictBuf>;
     /**
-     * The writeback in @p it was acked (or nacked): free the buffer,
+     * @p line's writeback was acked (or nacked): free the buffer,
      * answer a pending flush, and resume the line's queue.
      */
-    void retireWriteback(EvictMap::iterator it);
+    void retireWriteback(Addr line);
 
     Pid pid_;
     const SystemConfig &cfg_;
@@ -151,8 +150,8 @@ class L1Controller : public L1Cache, public MsgHandler
     CoreHooks hooks_;
 
     CacheArray array_;
-    EvictMap evict_;
-    std::unordered_map<Addr, std::deque<PendingReq>> pending_;
+    LineTable<EvictBuf> evict_;
+    LineTable<Fifo<PendingReq>> pending_;
 
   private:
     void request(const PendingReq &req);

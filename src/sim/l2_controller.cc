@@ -17,8 +17,8 @@ L2Controller::L2Controller(int tile, const SystemConfig &cfg, EventQueue &eq,
 std::uint8_t
 L2Controller::stateOf(Addr line)
 {
-    if (auto it = evict_.find(line); it != evict_.end())
-        return it->second.state;
+    if (const EvictBuf *buf = evict_.find(line))
+        return buf->state;
     if (CacheEntry *e = array_.find(line))
         return e->state;
     return 0;
@@ -57,17 +57,17 @@ L2Controller::drain(Addr line)
     // the state every iteration, so recursion simply consumes the queue
     // a little earlier.
     for (;;) {
-        auto it = waiting_.find(line);
-        if (it == waiting_.end())
+        Fifo<Msg> *q = waiting_.find(line);
+        if (!q)
             return;
-        if (it->second.empty()) {
-            waiting_.erase(it);
+        if (q->empty()) {
+            waiting_.erase(line);
             return;
         }
         if (!serving(line))
             return;
-        Msg msg = it->second.front();
-        it->second.pop_front();
+        const Msg msg = q->front();
+        q->pop_front();
         serveRequest(msg);
     }
 }
@@ -120,14 +120,14 @@ L2Controller::ackRecalledPutx(Addr line, Pid owner, bool recall_acked)
 bool
 L2Controller::absorbStaleRecallAck(const Msg &msg, int event)
 {
-    if (msg.type != MsgType::RecallAckNoData || evict_.count(msg.line))
+    if (msg.type != MsgType::RecallAckNoData || evict_.contains(msg.line))
         return false;
-    auto it = staleRecallAcks_.find(msg.line);
-    if (it == staleRecallAcks_.end())
+    int *stale = staleRecallAcks_.find(msg.line);
+    if (!stale)
         return false;
     table_.record(0, event);
-    if (--it->second == 0)
-        staleRecallAcks_.erase(it);
+    if (--*stale == 0)
+        staleRecallAcks_.erase(msg.line);
     return true;
 }
 

@@ -15,13 +15,13 @@
 #ifndef MCVERSI_SIM_L2_CONTROLLER_HH
 #define MCVERSI_SIM_L2_CONTROLLER_HH
 
-#include <deque>
 #include <string>
-#include <unordered_map>
 
 #include "sim/cache_array.hh"
 #include "sim/config.hh"
 #include "sim/eventq.hh"
+#include "sim/fifo.hh"
+#include "sim/line_table.hh"
 #include "sim/network.hh"
 #include "sim/stall_queues.hh"
 #include "sim/transition_table.hh"
@@ -141,9 +141,9 @@ class L2Controller : public MsgHandler
     TransitionTable table_;
 
     CacheArray array_;
-    std::unordered_map<Addr, EvictBuf> evict_;
+    LineTable<EvictBuf> evict_;
     /** Requests waiting out their line's transaction. */
-    std::unordered_map<Addr, std::deque<Msg>> waiting_;
+    LineTable<Fifo<Msg>> waiting_;
 
   private:
     /** Stage a pool-owned outbound message and let @p fill populate it. */
@@ -165,7 +165,7 @@ class L2Controller : public MsgHandler
     std::uint8_t fetchExclusive_;
     SetStallQueues stalls_;
     /** Stale owner recall acks still in flight, per line. */
-    std::unordered_map<Addr, int> staleRecallAcks_;
+    LineTable<int> staleRecallAcks_;
 };
 
 } // namespace mcversi::sim

@@ -6,22 +6,10 @@
 
 namespace mcversi::sim {
 
-const LineData &
-MainMemory::line(Addr line_addr)
-{
-    return lines_[lineAddr(line_addr)];
-}
-
 void
 MainMemory::setWord(Addr addr, WriteVal value)
 {
     lines_[lineAddr(addr)].setWord(addr, value);
-}
-
-WriteVal
-MainMemory::word(Addr addr)
-{
-    return lines_[lineAddr(addr)].word(addr);
 }
 
 void
@@ -39,7 +27,8 @@ MainMemory::handleMsg(const Msg &msg)
         resp.src = kMemNode;
         resp.dst = msg.src;
         resp.vnet = Vnet::Mem;
-        resp.data = lines_[msg.line];
+        const LineData *data = lines_.find(msg.line);
+        resp.data = data ? *data : LineData{};
         resp.hasData = true;
         // Model access latency by delaying injection into the network.
         eq_.scheduleNetSend(eq_.now() + lat, &net_, &resp);

@@ -4,16 +4,16 @@
  *
  * Functionally accurate: lines hold real word values, so a protocol bug
  * that drops a writeback leaves memory observably stale. Sparse storage
- * keyed by line address.
+ * in a flat table keyed by line address; a line never written reads as
+ * zeros.
  */
 
 #ifndef MCVERSI_SIM_MEMORY_HH
 #define MCVERSI_SIM_MEMORY_HH
 
-#include <unordered_map>
-
 #include "common/rng.hh"
 #include "sim/eventq.hh"
+#include "sim/line_table.hh"
 #include "sim/message.hh"
 
 namespace mcversi::sim {
@@ -42,10 +42,8 @@ class MainMemory : public MsgHandler
 
     void handleMsg(const Msg &msg) override;
 
-    /** Direct functional access (host-side reset / inspection). */
-    const LineData &line(Addr line_addr);
+    /** Direct functional write (host-side reset). */
     void setWord(Addr addr, WriteVal value);
-    WriteVal word(Addr addr);
 
     std::uint64_t reads() const { return reads_; }
     std::uint64_t writes() const { return writes_; }
@@ -55,7 +53,7 @@ class MainMemory : public MsgHandler
     Network &net_;
     Rng rng_;
     Params params_;
-    std::unordered_map<Addr, LineData> lines_;
+    LineTable<LineData> lines_;
     std::uint64_t reads_ = 0;
     std::uint64_t writes_ = 0;
 };

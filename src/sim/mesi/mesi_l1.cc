@@ -128,14 +128,15 @@ MesiL1::doReplacement(CacheEntry &entry)
 void
 MesiL1::processPending(Addr line)
 {
-    auto it = pending_.find(line);
-    if (it == pending_.end())
+    // q stays valid: nothing below inserts into or erases from pending_.
+    Fifo<PendingReq> *found = pending_.find(line);
+    if (!found)
         return;
-    auto &q = it->second;
+    Fifo<PendingReq> &q = *found;
 
     while (!q.empty()) {
         // A line parked in the writeback buffer blocks everything.
-        if (evict_.count(line))
+        if (evict_.contains(line))
             return;
 
         const PendingReq req = q.front();
@@ -243,7 +244,7 @@ MesiL1::processPending(Addr line)
         }
     }
     if (q.empty())
-        pending_.erase(it);
+        pending_.erase(line);
 }
 
 // ---------------------------------------------------------------------
@@ -274,8 +275,9 @@ MesiL1::handleMsg(const Msg &msg)
     // only through these writeback-state messages -- skipping the
     // notification here lets such a load retire a coherence-stale
     // value (a genuine TSO violation on a correct system).
-    if (auto it = evict_.find(line); it != evict_.end()) {
-        EvictBuf &buf = it->second;
+    // buf stays valid until retireWriteback erases it.
+    if (EvictBuf *found = evict_.find(line)) {
+        EvictBuf &buf = *found;
         const auto st = static_cast<State>(buf.state);
         switch (msg.type) {
           case MsgType::FwdGETS:
@@ -316,7 +318,7 @@ MesiL1::handleMsg(const Msg &msg)
           case MsgType::WbNack:
             table_.record(st, msg.type == MsgType::WbAck ? EvWbAck
                                                          : EvWbNack);
-            retireWriteback(it);
+            retireWriteback(line);
             return;
           case MsgType::Inv:
             table_.record(st, EvInv);

@@ -255,12 +255,11 @@ MesiL2::serveRequest(const Msg &msg)
     // A PUTX from the recalled owner completes an in-flight MT_I
     // eviction and must not be queued behind it.
     if (msg.type == MsgType::PUTX) {
-        if (auto it = evict_.find(line);
-            it != evict_.end() && it->second.state == StMT_I &&
-            it->second.owner == msg.requester) {
+        if (EvictBuf *buf = evict_.find(line);
+            buf && buf->state == StMT_I && buf->owner == msg.requester) {
             table_.record(StMT_I, EvPutxOwner);
-            ackRecalledPutx(line, msg.requester, it->second.ownerGone);
-            completeRecall(line, it->second, msg.dirty, msg.data, true);
+            ackRecalledPutx(line, msg.requester, buf->ownerGone);
+            completeRecall(line, *buf, msg.dirty, msg.data, true);
             return;
         }
     }
@@ -418,11 +417,10 @@ MesiL2::handleMsg(const Msg &msg)
       case MsgType::RecallAckNoData: {
         if (absorbStaleRecallAck(msg, EvRecallAckNoData))
             return;
-        auto it = evict_.find(line);
         table_.record(stateOf(line), msg.type == MsgType::RecallData
                                          ? EvRecallData
                                          : EvRecallAckNoData); // Only MT_I.
-        EvictBuf &buf = it->second;
+        EvictBuf &buf = *evict_.find(line);
         if (msg.type == MsgType::RecallAckNoData) {
             // The owner's PUTX is in flight and completes the recall.
             buf.ownerGone = true;
@@ -433,13 +431,12 @@ MesiL2::handleMsg(const Msg &msg)
       }
 
       case MsgType::InvAck: {
-        auto it = evict_.find(line);
         table_.record(stateOf(line), EvInvAckIn); // Only SS_I defined.
-        EvictBuf &buf = it->second;
+        EvictBuf &buf = *evict_.find(line);
         if (--buf.acksLeft == 0) {
             if (buf.dirty)
                 memWrite(line, buf.data);
-            evict_.erase(it);
+            evict_.erase(line);
             drain(line);
         }
         return;

@@ -89,7 +89,10 @@ class MesiL2 : public L2Controller
      * @return the number of acks @p c must collect
      */
     int blockForExclusive(CacheEntry &entry, Pid c);
-    /** Finish an MT_I eviction given the owner's data response. */
+    /**
+     * Finish an MT_I eviction given the owner's data response. @p buf
+     * is @p line's entry in evict_, read before this erases it.
+     */
     void completeRecall(Addr line, EvictBuf &buf, bool msg_dirty,
                         const LineData &msg_data, bool from_putx);
 

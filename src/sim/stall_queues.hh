@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "sim/fifo.hh"
 #include "sim/message.hh"
 
 namespace mcversi::sim {
@@ -40,18 +41,8 @@ class SetStallQueues
     {
         const std::size_t i = find(set);
         if (i == fifos_.size())
-            fifos_.push_back(Fifo{set, {}, 0});
-        Fifo &q = fifos_[i];
-        // A busy set may never drain within an iteration: reclaim the
-        // served prefix before growing, so capacity tracks the most
-        // requests parked at once rather than all parked so far.
-        if (q.head > 0 && q.items.size() == q.items.capacity()) {
-            q.items.erase(q.items.begin(),
-                          q.items.begin() +
-                              static_cast<std::ptrdiff_t>(q.head));
-            q.head = 0;
-        }
-        q.items.push_back(msg);
+            fifos_.push_back(SetFifo{set, {}});
+        fifos_[i].queue.push_back(msg);
         ++parked_;
     }
 
@@ -67,15 +58,11 @@ class SetStallQueues
         if (parked_ == 0)
             return;
         const std::size_t i = find(set);
-        while (i < fifos_.size() &&
-               fifos_[i].head < fifos_[i].items.size() && can_allocate()) {
-            Fifo &q = fifos_[i];
-            const Msg msg = q.items[q.head++];
+        while (i < fifos_.size() && !fifos_[i].queue.empty() &&
+               can_allocate()) {
+            const Msg msg = fifos_[i].queue.front();
+            fifos_[i].queue.pop_front();
             --parked_;
-            if (q.head == q.items.size()) {
-                q.items.clear();
-                q.head = 0;
-            }
             serve(msg);
         }
     }
@@ -90,9 +77,9 @@ class SetStallQueues
     Addr
     firstParkedLine() const
     {
-        for (const Fifo &q : fifos_)
-            if (q.head < q.items.size())
-                return q.items[q.head].line;
+        for (const SetFifo &f : fifos_)
+            if (!f.queue.empty())
+                return f.queue.front().line;
         return kNoAddr;
     }
 
@@ -102,19 +89,16 @@ class SetStallQueues
     {
         if (parked_ == 0)
             return;
-        for (Fifo &q : fifos_) {
-            q.items.clear();
-            q.head = 0;
-        }
+        for (SetFifo &f : fifos_)
+            f.queue.clear();
         parked_ = 0;
     }
 
   private:
-    struct Fifo
+    struct SetFifo
     {
         std::size_t set = 0;
-        std::vector<Msg> items;
-        std::size_t head = 0; ///< first request not yet served
+        Fifo<Msg> queue;
     };
 
     /** Index of @p set's FIFO, or fifos_.size() if it has none. */
@@ -127,7 +111,7 @@ class SetStallQueues
         return i;
     }
 
-    std::vector<Fifo> fifos_;
+    std::vector<SetFifo> fifos_;
     std::size_t parked_ = 0;
 };
 

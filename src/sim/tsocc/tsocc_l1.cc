@@ -70,10 +70,10 @@ TsoccL1::debugSummary()
 {
     std::ostringstream os;
     os << "TsoccL1[" << pid_ << "] pendingLines=" << pending_.size();
-    for (const auto &[line, q] : pending_) {
+    pending_.forEach([&](Addr line, const Fifo<PendingReq> &q) {
         os << " 0x" << std::hex << line << std::dec << "(q=" << q.size()
            << ",st=" << static_cast<int>(lineState(line)) << ")";
-    }
+    });
     os << " evict=" << evict_.size();
     return os.str();
 }
@@ -162,10 +162,10 @@ TsoccL1::applySelfInvRule(const TsMeta &meta, Addr except_line)
 void
 TsoccL1::selfInvalidateShared(Addr except_line, bool flag_in_flight)
 {
-    std::vector<Addr> doomed;
+    doomed_.clear();
     array_.forEachValid([&](CacheEntry &e) {
         if (e.state == StS && e.line != except_line)
-            doomed.push_back(e.line);
+            doomed_.push_back(e.line);
         // A read fill in flight was served before this acquire point:
         // its data may be stale relative to what triggered the sweep,
         // so it must be consumed as invalidated-in-flight (the TSO-CC
@@ -173,7 +173,7 @@ TsoccL1::selfInvalidateShared(Addr except_line, bool flag_in_flight)
         if (flag_in_flight && e.state == StIS && e.line != except_line)
             e.consumeFlagged = true;
     });
-    for (Addr line : doomed) {
+    for (Addr line : doomed_) {
         table_.record(StS, EvSelfInvalidate);
         CacheEntry *e = array_.find(line);
         array_.free(*e);
@@ -207,13 +207,14 @@ TsoccL1::doReplacement(CacheEntry &entry)
 void
 TsoccL1::processPending(Addr line)
 {
-    auto it = pending_.find(line);
-    if (it == pending_.end())
+    // q stays valid: nothing below inserts into or erases from pending_.
+    Fifo<PendingReq> *found = pending_.find(line);
+    if (!found)
         return;
-    auto &q = it->second;
+    Fifo<PendingReq> &q = *found;
 
     while (!q.empty()) {
-        if (evict_.count(line))
+        if (evict_.contains(line))
             return;
 
         const PendingReq req = q.front();
@@ -333,7 +334,7 @@ TsoccL1::processPending(Addr line)
         }
     }
     if (q.empty())
-        pending_.erase(it);
+        pending_.erase(line);
 }
 
 // ---------------------------------------------------------------------
@@ -356,8 +357,9 @@ TsoccL1::handleMsg(const Msg &msg)
         return;
     }
 
-    if (auto it = evict_.find(line); it != evict_.end()) {
-        EvictBuf &buf = it->second;
+    // buf stays valid until retireWriteback erases it.
+    if (EvictBuf *found = evict_.find(line)) {
+        EvictBuf &buf = *found;
         const auto st = static_cast<State>(buf.state);
         switch (msg.type) {
           case MsgType::Recall:
@@ -374,7 +376,7 @@ TsoccL1::handleMsg(const Msg &msg)
           case MsgType::WbNack:
             table_.record(st, msg.type == MsgType::WbAck ? EvWbAck
                                                          : EvWbNack);
-            retireWriteback(it);
+            retireWriteback(line);
             return;
           default:
             table_.record(st, EvData); // Undefined: throws.

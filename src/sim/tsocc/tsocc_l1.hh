@@ -114,6 +114,8 @@ class TsoccL1 : public L1Controller
     void selfInvalidateShared(Addr except_line, bool flag_in_flight);
 
     std::vector<Seen> lastSeen_;
+    /** selfInvalidateShared's victims; capacity reused across sweeps. */
+    std::vector<Addr> doomed_;
     std::uint32_t curTs_ = 1;
     std::uint32_t curEpoch_ = 0;
     int writesInGroup_ = 0;

@@ -141,14 +141,14 @@ TsoccL2::serveRequest(const Msg &msg)
     // A PUTX from a recalled owner completes O_R / O_I transactions and
     // must not queue behind them.
     if (msg.type == MsgType::PUTX) {
-        if (auto it = evict_.find(line);
-            it != evict_.end() && it->second.owner == c) {
+        if (const EvictBuf *buf = evict_.find(line);
+            buf && buf->owner == c) {
             table_.record(StO_I, EvPutxOwner);
-            ackRecalledPutx(line, c, it->second.ownerGone);
+            ackRecalledPutx(line, c, buf->ownerGone);
             if (msg.meta.valid())
                 metaStore_[line] = msg.meta;
             memWrite(line, msg.data);
-            evict_.erase(it);
+            evict_.erase(line);
             drain(line);
             return;
         }
@@ -249,8 +249,8 @@ TsoccL2::handleMsg(const Msg &msg)
         entry->data = msg.data;
         entry->dirty = false;
         // Restore directory metadata; absent means never written.
-        if (auto mit = metaStore_.find(line); mit != metaStore_.end())
-            entry->meta = mit->second;
+        if (const TsMeta *meta = metaStore_.find(line))
+            entry->meta = *meta;
         else
             entry->meta = TsMeta{};
         const Pid c = entry->pendingRequester;
@@ -284,17 +284,17 @@ TsoccL2::handleMsg(const Msg &msg)
         if (absorbStaleRecallAck(msg, EvRecallAckNoData))
             return;
         const bool has_data = (msg.type == MsgType::RecallData);
-        if (auto it = evict_.find(line); it != evict_.end()) {
+        if (EvictBuf *buf = evict_.find(line)) {
             table_.record(StO_I, has_data ? EvRecallData
                                           : EvRecallAckNoData);
             if (has_data) {
                 if (msg.meta.valid())
                     metaStore_[line] = msg.meta;
                 memWrite(line, msg.data);
-                evict_.erase(it);
+                evict_.erase(line);
                 drain(line);
             } else {
-                it->second.ownerGone = true; // Owner's PUTX will complete it.
+                buf->ownerGone = true; // Owner's PUTX will complete it.
             }
             return;
         }

@@ -18,7 +18,6 @@
 #define MCVERSI_SIM_TSOCC_TSOCC_L2_HH
 
 #include <string>
-#include <unordered_map>
 
 #include "sim/l2_controller.hh"
 
@@ -80,7 +79,7 @@ class TsoccL2 : public L2Controller
      * invariant: a line without metadata has never been written, so
      * readers need no conservative self-invalidation for it.
      */
-    std::unordered_map<Addr, TsMeta> metaStore_;
+    LineTable<TsMeta> metaStore_;
 };
 
 } // namespace mcversi::sim

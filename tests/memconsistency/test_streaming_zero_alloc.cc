@@ -7,78 +7,21 @@
  * performs exactly zero heap allocations, and the live-node high water
  * stays O(window) rather than O(trace).
  *
- * This binary replaces global operator new/delete with counting
- * wrappers (same scheme as sim/test_eventq_zero_alloc.cc). Skipped
- * under ASan/UBSan: the sanitizer runtime interposes and allocates on
- * its own schedule, so the counter is not meaningful.
+ * This binary replaces global operator new/delete with the counting
+ * wrappers of tests/counting_new.hh. Skipped under ASan/UBSan: the
+ * sanitizer runtime interposes and allocates on its own schedule, so
+ * the counter is not meaningful.
  */
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "../counting_new.hh"
+
 #include "memconsistency/execwitness.hh"
 #include "memconsistency/models/registry.hh"
 #include "memconsistency/streaming_checker.hh"
-
-#if defined(__SANITIZE_ADDRESS__)
-#define MCVERSI_ZERO_ALLOC_SKIP 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define MCVERSI_ZERO_ALLOC_SKIP 1
-#endif
-#endif
-
-namespace {
-
-std::atomic<std::uint64_t> g_allocs{0};
-
-} // namespace
-
-// The replacements stay out of line: inlined into a caller, GCC pairs
-// the std::free below with the caller's operator new and warns
-// (-Wmismatched-new-delete).
-[[gnu::noinline]] void *
-operator new(std::size_t size)
-{
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size ? size : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-[[gnu::noinline]] void *
-operator new[](std::size_t size)
-{
-    return ::operator new(size);
-}
-
-[[gnu::noinline]] void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-[[gnu::noinline]] void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-[[gnu::noinline]] void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-[[gnu::noinline]] void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace {
 

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "sim/system.hh"
 
 using namespace mcversi::sim;
@@ -265,4 +269,72 @@ TEST(Core, TsoccSystemRunsPrograms)
     sys.witness().finalize();
     EXPECT_EQ(sys.witness().anomaly(),
               mcversi::mc::WitnessAnomaly::None);
+}
+
+TEST(Core, AddrDepChainAcrossRmwIsWokenAndSquashed)
+{
+    // Load -> dep -> dep, then an RMW (itself a value producer) -> dep
+    // -> dep. Each LoadAddrDep waits on the nearest preceding producer
+    // only: the RMW wakes the chain behind it and, as a fence, squashes
+    // it when it retires; core 1's stores invalidate the chain's lines
+    // and squash it again. Every dependent load must still compute its
+    // address from the value its producer finally retired with.
+    std::uint64_t squashes = 0;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        SystemConfig cfg;
+        cfg.seed = seed;
+        System sys(cfg);
+        // The leading delay holds retirement, so the chain performs
+        // speculatively while core 1's stores invalidate its lines.
+        ProgInstr hold = instr(InstrKind::Delay, 0);
+        hold.delay = 3000;
+        const Program chain = makeProgram({
+            hold,
+            instr(InstrKind::Load, 0x1000, 0x0),
+            instr(InstrKind::LoadAddrDep, 0x1010, 0x10),
+            instr(InstrKind::Store, 0x1100, 0x100),
+            instr(InstrKind::LoadAddrDep, 0x1020, 0x20),
+            instr(InstrKind::Rmw, 0x1030, 0x30),
+            instr(InstrKind::Delay, 0),
+            instr(InstrKind::LoadAddrDep, 0x1040, 0x40),
+            instr(InstrKind::LoadAddrDep, 0x1050, 0x50),
+        });
+        sys.core(0).loadProgram(chain);
+        std::vector<ProgInstr> stores;
+        for (int round = 0; round < 2; ++round)
+            for (Addr off = 0; off < 1024; off += 16)
+                stores.push_back(instr(InstrKind::Store, 0x1000 + off, off));
+        Program writer = makeProgram({});
+        writer.instrs = stores;
+        sys.core(1).loadProgram(writer);
+        runAll(sys);
+        ASSERT_TRUE(sys.core(0).done());
+        ASSERT_TRUE(sys.core(1).done());
+        squashes += sys.core(0).squashes();
+
+        auto &ew = sys.witness();
+        ew.finalize();
+        EXPECT_EQ(ew.anomaly(), mcversi::mc::WitnessAnomaly::None);
+        // Value each slot produced: a load's read, an RMW's read part.
+        std::map<std::int32_t, WriteVal> produced;
+        std::map<std::int32_t, Addr> addr;
+        for (const auto id : ew.threadEvents(0)) {
+            const auto &ev = ew.event(id);
+            if (ev.isRead()) {
+                produced[ev.iiid.poi] = ev.value;
+                addr[ev.iiid.poi] = ev.addr;
+            }
+        }
+        const std::pair<std::int32_t, std::int32_t> deps[] = {
+            {2, 1}, {4, 2}, {7, 5}, {8, 7}};
+        for (const auto &[slot, producer] : deps) {
+            ASSERT_TRUE(addr.count(slot)) << "slot " << slot;
+            EXPECT_EQ(addr[slot],
+                      chain.depAddr(chain.instrs[static_cast<std::size_t>(
+                                        slot)],
+                                    produced[producer]))
+                << "seed " << seed << " slot " << slot;
+        }
+    }
+    EXPECT_GT(squashes, 0u);
 }
