@@ -2,54 +2,28 @@
 
 #include <cmath>
 #include <cstdio>
-#include <limits>
-#include <sstream>
+#include <type_traits>
+
+#include "campaign/schema.hh"
 
 namespace mcversi::campaign {
 
 namespace {
 
 /**
- * Mean checking cost per committed event, in microseconds. NaN (-> JSON
- * null / empty CSV field) when no events executed at all.
+ * Shortest deterministic decimal form for identical finite doubles.
+ * Non-finite values (NaN from 0/0 fitness means, inf from
+ * zero-wall-time rates) have no JSON literal; they render as null in
+ * JSON and as an empty CSV field instead of bare nan/inf tokens.
  */
-double
-checkUsPerEvent(const host::HarnessResult &h)
-{
-    // Guard the division explicitly: a zero-run campaign (exhausted
-    // budget, interrupted before the first test) must render as
-    // null/empty, not as whatever inf/NaN the FP environment produces.
-    if (h.eventsExecuted == 0)
-        return std::numeric_limits<double>::quiet_NaN();
-    return h.checkSeconds / static_cast<double>(h.eventsExecuted) * 1e6;
-}
-
-/** Shortest deterministic decimal form for identical finite doubles. */
 std::string
-fmtDouble(double v)
+fmtDouble(double v, const char *non_finite)
 {
+    if (!std::isfinite(v))
+        return non_finite;
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.10g", v);
     return buf;
-}
-
-/**
- * JSON rendering of a double: non-finite values (NaN from 0/0 fitness
- * means, inf from zero-wall-time rates) have no JSON literal, so they
- * serialize as null instead of the invalid bare nan/inf tokens
- * "%.10g" would print.
- */
-std::string
-jsonDouble(double v)
-{
-    return std::isfinite(v) ? fmtDouble(v) : "null";
-}
-
-/** CSV rendering of a double: non-finite values become empty fields. */
-std::string
-csvDouble(double v)
-{
-    return std::isfinite(v) ? fmtDouble(v) : std::string();
 }
 
 std::string
@@ -92,31 +66,50 @@ csvField(const std::string &s)
     return out;
 }
 
-void
-appendSpecJson(std::ostringstream &out, const CampaignSpec &spec)
+/** JSON value of one schema field. */
+template <class T>
+std::string
+jsonValue(const T &v)
 {
-    out << "{\"bug\":\"" << jsonEscape(spec.bug) << "\""
-        << ",\"generator\":\"" << jsonEscape(spec.generator) << "\""
-        << ",\"seed\":" << spec.seed
-        << ",\"protocol\":\"" << jsonEscape(spec.protocol) << "\""
-        << ",\"model\":\"" << jsonEscape(spec.model) << "\""
-        << ",\"test_size\":" << spec.testSize
-        << ",\"iterations\":" << spec.iterations
-        << ",\"mem_size\":" << spec.memSize
-        << ",\"stride\":" << spec.stride
-        << ",\"guest_threads\":" << spec.guestThreads
-        << ",\"population\":" << spec.population
-        << ",\"islands\":" << spec.islands
-        << ",\"migration\":" << spec.migration
-        << ",\"batch\":" << spec.batch
-        << ",\"max_runs\":" << spec.maxTestRuns
-        << ",\"max_seconds\":" << jsonDouble(spec.maxWallSeconds)
-        << ",\"litmus_iterations\":" << spec.litmusIterations
-        << ",\"record_ndt\":" << (spec.recordNdt ? "true" : "false")
-        << ",\"check_cache\":" << spec.checkCache
-        << ",\"check_mode\":\"" << jsonEscape(spec.checkMode) << "\""
-        << ",\"witness_window\":" << spec.witnessWindow
-        << "}";
+    if constexpr (std::is_same_v<T, std::string>) {
+        return "\"" + jsonEscape(v) + "\"";
+    } else if constexpr (std::is_same_v<T, bool>) {
+        return v ? "true" : "false";
+    } else if constexpr (std::is_floating_point_v<T>) {
+        return fmtDouble(v, "null");
+    } else if constexpr (std::is_integral_v<T>) {
+        return std::to_string(v);
+    } else {
+        std::string out = "[";
+        for (std::size_t i = 0; i < v.size(); ++i)
+            out += (i > 0 ? "," : "") + jsonValue(v[i]);
+        return out + "]";
+    }
+}
+
+/** CSV cell of one schema field (vectors are JSON-only). */
+template <class T>
+std::string
+csvValue(const T &v)
+{
+    if constexpr (std::is_same_v<T, std::string>)
+        return csvField(v);
+    else if constexpr (std::is_same_v<T, bool>)
+        return v ? "1" : "0";
+    else if constexpr (std::is_floating_point_v<T>)
+        return fmtDouble(v, "");
+    else if constexpr (std::is_integral_v<T>)
+        return std::to_string(v);
+    else
+        return std::string();
+}
+
+/** Whether an export with the given timing switch carries @p field. */
+bool
+carries(const ResultField &field, Export format, bool include_timing)
+{
+    return (field.exports & format) != 0 &&
+           (include_timing || (field.exports & kTiming) == 0);
 }
 
 } // namespace
@@ -160,133 +153,64 @@ CampaignSummary::totalWallSeconds() const
 std::string
 CampaignSummary::toJson(bool include_timing) const
 {
-    std::ostringstream out;
-    out << "{\"campaigns\":[";
+    std::string out = "{\"campaigns\":[";
     for (std::size_t i = 0; i < results.size(); ++i) {
         const CampaignResult &r = results[i];
         if (i > 0)
-            out << ",";
-        out << "{\"spec\":";
-        appendSpecJson(out, r.spec);
-        out << ",\"bug_found\":" << (r.harness.bugFound ? "true" : "false")
-            << ",\"test_runs\":" << r.harness.testRuns
-            << ",\"test_runs_to_bug\":" << r.harness.testRunsToBug
-            << ",\"sim_ticks\":" << r.harness.simTicks
-            << ",\"events_executed\":" << r.harness.eventsExecuted
-            << ",\"sim_events\":" << r.harness.simEvents
-            << ",\"messages_sent\":" << r.harness.messagesSent
-            << ",\"total_coverage\":" << jsonDouble(r.harness.totalCoverage)
-            << ",\"protocol_coverage\":" << jsonDouble(r.protocolCoverage)
-            << ",\"mean_fitness\":" << jsonDouble(r.harness.meanFitness)
-            << ",\"distinct_interleavings\":"
-            << r.harness.distinctInterleavings
-            << ",\"check_cache_hits\":" << r.harness.checkCacheHits
-            << ",\"check_cache_misses\":" << r.harness.checkCacheMisses
-            << ",\"check_cache_hit_rate\":"
-            << jsonDouble(r.harness.checkCacheHitRate())
-            << ",\"events_until_detection\":"
-            << r.harness.eventsUntilDetection
-            << ",\"fitness_trajectory\":[";
-        for (std::size_t t = 0; t < r.harness.fitnessTrajectory.size();
-             ++t) {
-            if (t > 0)
-                out << ",";
-            out << jsonDouble(r.harness.fitnessTrajectory[t]);
-        }
-        out << "]"
-            << ",\"detail\":\"" << jsonEscape(r.harness.detail) << "\""
-            << ",\"error\":\"" << jsonEscape(r.error) << "\"";
-        if (include_timing) {
-            out << ",\"wall_seconds\":" << jsonDouble(r.harness.wallSeconds)
-                << ",\"wall_seconds_to_bug\":"
-                << jsonDouble(r.harness.wallSecondsToBug)
-                << ",\"check_seconds\":"
-                << jsonDouble(r.harness.checkSeconds)
-                << ",\"check_us_per_event\":"
-                << jsonDouble(checkUsPerEvent(r.harness))
-                << ",\"tests_per_sec\":"
-                << jsonDouble(r.harness.testsPerSec());
-        }
-        out << "}";
+            out += ",";
+        out += "{\"spec\":";
+        char sep = '{';
+        visitSpecFields(r.spec, [&](const char *key, const auto &field,
+                                    auto) {
+            out += sep;
+            out += "\"" + columnName(key) + "\":" + jsonValue(field);
+            sep = ',';
+        });
+        out += "}";
+        visitResultFields(r, [&](const ResultField &f, const auto &value) {
+            if (carries(f, kJson, include_timing))
+                out += ",\"" + std::string(f.name) + "\":" +
+                       jsonValue(value);
+        });
+        out += "}";
     }
-    out << "],\"summary\":{\"campaigns\":" << campaigns()
-        << ",\"bugs_found\":" << bugsFound()
-        << ",\"errors\":" << errors()
-        << ",\"test_runs\":" << totalTestRuns();
+    out += "],\"summary\":{\"campaigns\":" + std::to_string(campaigns()) +
+           ",\"bugs_found\":" + std::to_string(bugsFound()) +
+           ",\"errors\":" + std::to_string(errors()) +
+           ",\"test_runs\":" + std::to_string(totalTestRuns());
     if (include_timing)
-        out << ",\"wall_seconds\":" << jsonDouble(totalWallSeconds());
-    out << "}}\n";
-    return out.str();
+        out += ",\"wall_seconds\":" + jsonValue(totalWallSeconds());
+    out += "}}\n";
+    return out;
 }
 
 std::string
 CampaignSummary::toCsv(bool include_timing) const
 {
-    std::ostringstream out;
-    out << "bug,generator,seed,protocol,model,test_size,iterations,"
-           "mem_size,"
-           "stride,guest_threads,population,islands,migration,batch,"
-           "max_runs,max_seconds,litmus_iterations,record_ndt,"
-           "check_cache,check_mode,witness_window,"
-           "bug_found,test_runs,test_runs_to_bug,sim_ticks,"
-           "events_executed,sim_events,messages_sent,total_coverage,"
-           "protocol_coverage,mean_fitness,distinct_interleavings,"
-           "check_cache_hits,check_cache_misses,check_cache_hit_rate,"
-           "events_until_detection,"
-           "error";
-    if (include_timing) {
-        out << ",wall_seconds,wall_seconds_to_bug,check_seconds,"
-               "check_us_per_event,tests_per_sec";
-    }
-    out << "\n";
-    for (const CampaignResult &r : results) {
-        out << csvField(r.spec.bug) << ","
-            << csvField(r.spec.generator) << ","
-            << r.spec.seed << ","
-            << r.spec.protocol << ","
-            << r.spec.model << ","
-            << r.spec.testSize << ","
-            << r.spec.iterations << ","
-            << r.spec.memSize << ","
-            << r.spec.stride << ","
-            << r.spec.guestThreads << ","
-            << r.spec.population << ","
-            << r.spec.islands << ","
-            << r.spec.migration << ","
-            << r.spec.batch << ","
-            << r.spec.maxTestRuns << ","
-            << csvDouble(r.spec.maxWallSeconds) << ","
-            << r.spec.litmusIterations << ","
-            << (r.spec.recordNdt ? 1 : 0) << ","
-            << r.spec.checkCache << ","
-            << csvField(r.spec.checkMode) << ","
-            << r.spec.witnessWindow << ","
-            << (r.harness.bugFound ? 1 : 0) << ","
-            << r.harness.testRuns << ","
-            << r.harness.testRunsToBug << ","
-            << r.harness.simTicks << ","
-            << r.harness.eventsExecuted << ","
-            << r.harness.simEvents << ","
-            << r.harness.messagesSent << ","
-            << csvDouble(r.harness.totalCoverage) << ","
-            << csvDouble(r.protocolCoverage) << ","
-            << csvDouble(r.harness.meanFitness) << ","
-            << r.harness.distinctInterleavings << ","
-            << r.harness.checkCacheHits << ","
-            << r.harness.checkCacheMisses << ","
-            << csvDouble(r.harness.checkCacheHitRate()) << ","
-            << r.harness.eventsUntilDetection << ","
-            << csvField(r.error);
-        if (include_timing) {
-            out << "," << csvDouble(r.harness.wallSeconds)
-                << "," << csvDouble(r.harness.wallSecondsToBug)
-                << "," << csvDouble(r.harness.checkSeconds)
-                << "," << csvDouble(checkUsPerEvent(r.harness))
-                << "," << csvDouble(r.harness.testsPerSec());
-        }
-        out << "\n";
-    }
-    return out.str();
+    // One row per campaign: the spec's columns, then the outcome's.
+    const auto row = [include_timing](const CampaignResult &r,
+                                      bool header) {
+        std::string line;
+        const char *sep = "";
+        const auto cell = [&](const std::string &text) {
+            line += sep;
+            line += text;
+            sep = ",";
+        };
+        visitSpecFields(r.spec, [&](const char *key, const auto &field,
+                                    auto) {
+            cell(header ? columnName(key) : csvValue(field));
+        });
+        visitResultFields(r, [&](const ResultField &f, const auto &value) {
+            if (carries(f, kCsv, include_timing))
+                cell(header ? std::string(f.name) : csvValue(value));
+        });
+        return line + "\n";
+    };
+    std::string out = row(CampaignResult{}, true);
+    for (const CampaignResult &r : results)
+        out += row(r, false);
+    return out;
 }
 
 } // namespace mcversi::campaign

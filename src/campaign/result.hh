@@ -5,7 +5,8 @@
  * A CampaignResult pairs the spec that was run with its harness
  * outcome; a CampaignSummary aggregates the full matrix in spec order,
  * independent of worker interleaving. JSON and CSV export make bench
- * trajectories machine-readable. Timing fields (wall/check seconds)
+ * trajectories machine-readable; the exported fields, their names and
+ * order come from campaign/schema.hh. Timing fields (wall/check seconds)
  * are the only non-deterministic outputs, so both exporters can omit
  * them: toJson(false)/toCsv(false) are byte-identical across repeat
  * runs and worker-thread counts for the same spec vector.

@@ -30,7 +30,6 @@ CampaignRunner::runOne(const CampaignSpec &spec, int eval_threads,
             params.iterationsPerRun = spec.litmusIterations;
             params.model = spec.model;
             params.checkMode = mc::parseCheckMode(spec.checkMode);
-            params.witnessWindow = spec.witnessWindow;
             litmus::LitmusRunner runner(
                 params, litmus::suiteForModel(spec.model));
             result.harness = runner.run(budget);

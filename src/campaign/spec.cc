@@ -2,11 +2,15 @@
 
 #include <cctype>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "campaign/registry.hh"
+#include "campaign/schema.hh"
 #include "common/strings.hh"
 #include "memconsistency/models/registry.hh"
 #include "sim/bugs.hh"
@@ -23,8 +27,41 @@ badValue(const std::string &key, const std::string &value,
                                 "' for key '" + key + "': " + why);
 }
 
+/** toString() text of one spec field. */
+template <class T>
+std::string
+specText(const T &v)
+{
+    if constexpr (std::is_same_v<T, std::string>) {
+        return v;
+    } else if constexpr (std::is_same_v<T, bool>) {
+        return v ? "1" : "0";
+    } else if constexpr (std::is_floating_point_v<T>) {
+        // Fewest digits from 6 (the old stream default) that read back
+        // as v, so values that round-tripped at 6 keep their spelling.
+        char buf[32];
+        for (int digits = 6;; ++digits) {
+            std::snprintf(buf, sizeof(buf), "%.*g", digits, v);
+            if (digits == 17 || std::strtod(buf, nullptr) == v)
+                return buf;
+        }
+    } else {
+        return std::to_string(v);
+    }
+}
+
+} // namespace
+
+namespace parse {
+
+std::string
+text(const std::string &, const std::string &value)
+{
+    return value;
+}
+
 std::uint64_t
-parseU64(const std::string &key, const std::string &value)
+u64(const std::string &key, const std::string &value)
 {
     // std::stoull skips leading whitespace and negates a '-' in unsigned
     // arithmetic: accept only a leading digit.
@@ -42,32 +79,37 @@ parseU64(const std::string &key, const std::string &value)
     return v;
 }
 
-/** Non-negative integer with an optional k/K (x1024) suffix. */
 std::uint64_t
-parseSize(const std::string &key, const std::string &value)
+size(const std::string &key, const std::string &value)
 {
     if (!value.empty() &&
         (value.back() == 'k' || value.back() == 'K')) {
         const std::uint64_t kib =
-            parseU64(key, value.substr(0, value.size() - 1));
+            u64(key, value.substr(0, value.size() - 1));
         if (kib > std::numeric_limits<std::uint64_t>::max() / 1024)
             badValue(key, value, "too large");
         return kib * 1024;
     }
-    return parseU64(key, value);
+    return u64(key, value);
+}
+
+std::uint64_t
+sizeOrOff(const std::string &key, const std::string &value)
+{
+    return asciiLowered(value) == "off" ? 0 : size(key, value);
 }
 
 int
-parsePositiveInt(const std::string &key, const std::string &value)
+positive(const std::string &key, const std::string &value)
 {
-    const std::uint64_t v = parseU64(key, value);
+    const std::uint64_t v = u64(key, value);
     if (v == 0 || v > 1'000'000'000)
         badValue(key, value, "expected a positive integer");
     return static_cast<int>(v);
 }
 
 double
-parseNonNegDouble(const std::string &key, const std::string &value)
+nonNegative(const std::string &key, const std::string &value)
 {
     if (value.empty())
         badValue(key, value, "expected a non-negative number");
@@ -88,7 +130,7 @@ parseNonNegDouble(const std::string &key, const std::string &value)
 }
 
 bool
-parseBool(const std::string &key, const std::string &value)
+boolean(const std::string &key, const std::string &value)
 {
     const std::string v = asciiLowered(value);
     if (v == "1" || v == "true" || v == "yes" || v == "on")
@@ -99,7 +141,18 @@ parseBool(const std::string &key, const std::string &value)
 }
 
 std::string
-parseModel(const std::string &key, const std::string &value)
+protocol(const std::string &key, const std::string &value)
+{
+    const std::string v = asciiLowered(value);
+    if (v == "auto" || v == "mesi" || v == "tsocc")
+        return v;
+    if (v == "tso-cc")
+        return "tsocc";
+    badValue(key, value, "expected auto, mesi, or tsocc");
+}
+
+std::string
+model(const std::string &key, const std::string &value)
 {
     const std::string v = asciiLowered(value);
     if (!mc::hasModel(v)) {
@@ -110,19 +163,15 @@ parseModel(const std::string &key, const std::string &value)
 }
 
 std::string
-parseProtocol(const std::string &key, const std::string &value)
+checkMode(const std::string &key, const std::string &value)
 {
     const std::string v = asciiLowered(value);
-    if (v == "auto")
-        return "auto";
-    if (v == "mesi")
-        return "mesi";
-    if (v == "tsocc" || v == "tso-cc")
-        return "tsocc";
-    badValue(key, value, "expected auto, mesi, or tsocc");
+    if (v != "posthoc" && v != "streaming")
+        badValue(key, value, "expected posthoc or streaming");
+    return v;
 }
 
-} // namespace
+} // namespace parse
 
 void
 CampaignSpec::set(const std::string &key_value)
@@ -139,62 +188,15 @@ void
 CampaignSpec::set(const std::string &key, const std::string &value)
 {
     const std::string k = asciiLowered(key);
-    if (k == "bug") {
-        bug = value;
-    } else if (k == "generator") {
-        generator = value;
-    } else if (k == "seed") {
-        seed = parseU64(key, value);
-    } else if (k == "protocol") {
-        protocol = parseProtocol(key, value);
-    } else if (k == "model") {
-        model = parseModel(key, value);
-    } else if (k == "test-size") {
-        testSize = static_cast<std::size_t>(
-            parsePositiveInt(key, value));
-    } else if (k == "iterations") {
-        iterations = parsePositiveInt(key, value);
-    } else if (k == "mem-size") {
-        memSize = static_cast<Addr>(parseSize(key, value));
-    } else if (k == "stride") {
-        stride = static_cast<Addr>(parseSize(key, value));
-    } else if (k == "guest-threads") {
-        guestThreads = parsePositiveInt(key, value);
-    } else if (k == "population") {
-        population = static_cast<std::size_t>(
-            parsePositiveInt(key, value));
-    } else if (k == "islands") {
-        islands = static_cast<std::size_t>(
-            parsePositiveInt(key, value));
-    } else if (k == "migration") {
-        migration = parseU64(key, value);
-    } else if (k == "batch") {
-        batch = static_cast<std::size_t>(
-            parsePositiveInt(key, value));
-    } else if (k == "max-runs") {
-        maxTestRuns = parseU64(key, value);
-    } else if (k == "max-seconds") {
-        maxWallSeconds = parseNonNegDouble(key, value);
-    } else if (k == "litmus-iterations") {
-        litmusIterations = parsePositiveInt(key, value);
-    } else if (k == "record-ndt") {
-        recordNdt = parseBool(key, value);
-    } else if (k == "check-cache") {
-        checkCache = asciiLowered(value) == "off"
-                         ? 0
-                         : static_cast<std::size_t>(
-                               parseSize(key, value));
-    } else if (k == "check-mode") {
-        const std::string v = asciiLowered(value);
-        if (v != "posthoc" && v != "streaming")
-            badValue(key, value, "expected posthoc or streaming");
-        checkMode = v;
-    } else if (k == "witness-window") {
-        witnessWindow = asciiLowered(value) == "off"
-                            ? 0
-                            : static_cast<std::size_t>(
-                                  parseSize(key, value));
-    } else {
+    bool known = false;
+    visitSpecFields(*this, [&](const char *name, auto &field, auto parser) {
+        if (!known && k == name) {
+            field = static_cast<std::remove_reference_t<decltype(field)>>(
+                parser(key, value));
+            known = true;
+        }
+    });
+    if (!known) {
         throw std::invalid_argument("campaign spec: unknown key '" + key +
                                     "'");
     }
@@ -222,29 +224,16 @@ CampaignSpec::fromArgs(const std::vector<std::string> &args)
 std::string
 CampaignSpec::toString() const
 {
-    std::ostringstream out;
-    out << "bug=" << bug
-        << " generator=" << generator
-        << " seed=" << seed
-        << " protocol=" << protocol
-        << " model=" << model
-        << " test-size=" << testSize
-        << " iterations=" << iterations
-        << " mem-size=" << memSize
-        << " stride=" << stride
-        << " guest-threads=" << guestThreads
-        << " population=" << population
-        << " islands=" << islands
-        << " migration=" << migration
-        << " batch=" << batch
-        << " max-runs=" << maxTestRuns
-        << " max-seconds=" << maxWallSeconds
-        << " litmus-iterations=" << litmusIterations
-        << " record-ndt=" << (recordNdt ? 1 : 0)
-        << " check-cache=" << checkCache
-        << " check-mode=" << checkMode
-        << " witness-window=" << witnessWindow;
-    return out.str();
+    std::string out;
+    visitSpecFields(*this, [&out](const char *key, const auto &field,
+                                  auto) {
+        if (!out.empty())
+            out += ' ';
+        out += key;
+        out += '=';
+        out += specText(field);
+    });
+    return out;
 }
 
 void
@@ -298,6 +287,13 @@ CampaignSpec::validate() const
         throw std::invalid_argument(
             "campaign spec: litmus generators run the serial litmus "
             "loop; islands/batch do not apply (keep both at 1)");
+    }
+    if (witnessWindow != 0 &&
+        SourceRegistry::instance().isLitmus(generator)) {
+        throw std::invalid_argument(
+            "campaign spec: litmus runs check a final condition on the "
+            "whole witness; witness-window does not apply (keep it "
+            "off)");
     }
     if (islands > 64) {
         throw std::invalid_argument(
@@ -472,9 +468,9 @@ parseSeedList(const std::string &text)
     const std::size_t dots = text.find("..");
     if (dots != std::string::npos) {
         const std::uint64_t lo =
-            parseU64("seeds", text.substr(0, dots));
+            parse::u64("seeds", text.substr(0, dots));
         const std::uint64_t hi =
-            parseU64("seeds", text.substr(dots + 2));
+            parse::u64("seeds", text.substr(dots + 2));
         if (hi < lo)
             badValue("seeds", text, "range end below range start");
         if (hi - lo >= 1'000'000)
@@ -487,7 +483,7 @@ parseSeedList(const std::string &text)
     }
     std::vector<std::uint64_t> seeds;
     for (const std::string &item : splitList(text))
-        seeds.push_back(parseU64("seeds", item));
+        seeds.push_back(parse::u64("seeds", item));
     if (seeds.empty())
         badValue("seeds", text, "empty seed list");
     return seeds;
@@ -496,7 +492,7 @@ parseSeedList(const std::string &text)
 int
 parseThreadCount(const std::string &key, const std::string &value)
 {
-    const std::uint64_t v = parseU64(key, value);
+    const std::uint64_t v = parse::u64(key, value);
     if (v < 1)
         badValue(key, value,
                  "expected at least 1 worker thread (omit the key for "

@@ -7,7 +7,9 @@
  * generator, the generation/GA parameters, the budget, and the seed.
  * Specs are plain data: constructible in code, parseable from
  * "key=value" strings (CLI / config files), and serializable back via
- * toString() -- parse(toString()) round-trips exactly.
+ * toString() -- parse(toString()) round-trips exactly. The keys, their
+ * canonical order and their value rules are listed once, in
+ * campaign/schema.hh.
  *
  * CampaignMatrix expands bug x generator x model x seed lists into the
  * flat vector of specs a CampaignRunner consumes, mirroring the paper's

@@ -1,50 +1,102 @@
 #include "fleet/wire.hh"
 
+#include <cctype>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
+#include <type_traits>
+
+#include "campaign/schema.hh"
 
 namespace mcversi::fleet {
 
 namespace {
 
-bool
-needsEscape(unsigned char c)
-{
-    return c <= 0x20 || c == '%' || c == '=' || c == 0x7F;
-}
-
-std::uint64_t
-parseU64Field(const std::string &text)
-{
-    return std::strtoull(text.c_str(), nullptr, 10);
-}
-
+/** Wire text of one schema field (or envelope number). */
+template <class T>
 std::string
-encodeDoubleVec(const std::vector<double> &values)
+wireText(const T &v)
 {
-    std::string out;
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        if (i > 0)
-            out += ',';
-        out += encodeDouble(values[i]);
+    if constexpr (std::is_same_v<T, std::string>) {
+        return escapeToken(v);
+    } else if constexpr (std::is_same_v<T, std::vector<double>>) {
+        std::string out;
+        for (std::size_t i = 0; i < v.size(); ++i) {
+            if (i > 0)
+                out += ',';
+            out += encodeDouble(v[i]);
+        }
+        return out;
+    } else if constexpr (std::is_same_v<T, bool>) {
+        return v ? "1" : "0";
+    } else if constexpr (std::is_floating_point_v<T>) {
+        return encodeDouble(v);
+    } else {
+        return std::to_string(v);
     }
-    return out;
 }
 
-std::vector<double>
-decodeDoubleVec(const std::string &text)
+/** Inverse of wireText(); false unless all of @p text is one value. */
+template <class T>
+bool
+decodeField(const std::string &text, T &out)
 {
-    std::vector<double> values;
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        const std::size_t comma = text.find(',', pos);
-        const std::size_t end =
-            comma == std::string::npos ? text.size() : comma;
-        values.push_back(decodeDouble(text.substr(pos, end - pos)));
-        pos = end + 1;
+    if constexpr (std::is_same_v<T, std::string>) {
+        out = unescapeToken(text);
+        return true;
+    } else if constexpr (std::is_same_v<T, std::vector<double>>) {
+        out.clear();
+        std::istringstream in(text);
+        double v = 0.0;
+        for (std::string item; std::getline(in, item, ',');) {
+            if (!decodeDouble(item, v))
+                return false;
+            out.push_back(v);
+        }
+        return true;
+    } else if constexpr (std::is_floating_point_v<T>) {
+        return decodeDouble(text, out);
+    } else {
+        // Unsigned decimal: digits only, no sign, in range of T.
+        if (text.empty() ||
+            text.find_first_not_of("0123456789") != std::string::npos)
+            return false;
+        errno = 0;
+        const unsigned long long v =
+            std::strtoull(text.c_str(), nullptr, 10);
+        if (errno != 0 || v > std::numeric_limits<T>::max())
+            return false;
+        out = static_cast<T>(v);
+        return true;
     }
-    return values;
+}
+
+/**
+ * Calls fn(key, value) for each space-separated key=value token of
+ * @p payload until fn returns false; false on a token without a key.
+ */
+template <class Fn>
+bool
+forEachToken(const std::string &payload, std::string *err, Fn &&fn)
+{
+    std::istringstream in(payload);
+    for (std::string token; in >> token;) {
+        const std::size_t eq = token.find('=');
+        if (eq == std::string::npos || eq == 0) {
+            if (err != nullptr)
+                *err = "malformed token '" + token + "'";
+            return false;
+        }
+        if (!fn(token.substr(0, eq), token.substr(eq + 1))) {
+            if (err != nullptr)
+                *err = "bad value in token '" + token + "'";
+            return false;
+        }
+    }
+    return true;
 }
 
 void
@@ -57,12 +109,6 @@ appendField(std::string &out, const char *key, const std::string &value)
     out += value;
 }
 
-void
-appendU64(std::string &out, const char *key, std::uint64_t v)
-{
-    appendField(out, key, std::to_string(v));
-}
-
 } // namespace
 
 std::string
@@ -72,7 +118,7 @@ escapeToken(const std::string &text)
     out.reserve(text.size());
     for (const char ch : text) {
         const auto c = static_cast<unsigned char>(ch);
-        if (needsEscape(c)) {
+        if (c <= 0x20 || c == '%' || c == '=' || c == 0x7F) {
             char buf[4];
             std::snprintf(buf, sizeof(buf), "%%%02X", c);
             out += buf;
@@ -89,23 +135,13 @@ unescapeToken(const std::string &text)
     std::string out;
     out.reserve(text.size());
     for (std::size_t i = 0; i < text.size(); ++i) {
-        if (text[i] == '%' && i + 2 < text.size()) {
-            const auto hex = [](char c) -> int {
-                if (c >= '0' && c <= '9')
-                    return c - '0';
-                if (c >= 'a' && c <= 'f')
-                    return c - 'a' + 10;
-                if (c >= 'A' && c <= 'F')
-                    return c - 'A' + 10;
-                return -1;
-            };
-            const int hi = hex(text[i + 1]);
-            const int lo = hex(text[i + 2]);
-            if (hi >= 0 && lo >= 0) {
-                out += static_cast<char>(hi * 16 + lo);
-                i += 2;
-                continue;
-            }
+        if (text[i] == '%' && i + 2 < text.size() &&
+            std::isxdigit(static_cast<unsigned char>(text[i + 1])) &&
+            std::isxdigit(static_cast<unsigned char>(text[i + 2]))) {
+            out += static_cast<char>(
+                std::stoi(text.substr(i + 1, 2), nullptr, 16));
+            i += 2;
+            continue;
         }
         out += text[i];
     }
@@ -120,41 +156,27 @@ encodeDouble(double v)
     return buf;
 }
 
-double
-decodeDouble(const std::string &text)
+bool
+decodeDouble(const std::string &text, double &out)
 {
-    return std::strtod(text.c_str(), nullptr);
+    char *end = nullptr;
+    out = std::strtod(text.c_str(), &end);
+    return !text.empty() && end == text.c_str() + text.size();
 }
 
 std::string
 encodeCell(const CellRecord &record)
 {
-    const host::HarnessResult &h = record.result.harness;
     std::string out;
-    appendU64(out, "cell", record.cell);
-    appendU64(out, "attempt", record.attempt);
+    appendField(out, "cell", wireText(record.cell));
+    appendField(out, "attempt", wireText(record.attempt));
     appendField(out, "spec", escapeToken(record.spec));
-    appendField(out, "error", escapeToken(record.result.error));
-    appendField(out, "pcov",
-                encodeDouble(record.result.protocolCoverage));
-    appendU64(out, "bug", h.bugFound ? 1 : 0);
-    appendField(out, "detail", escapeToken(h.detail));
-    appendU64(out, "runs", h.testRuns);
-    appendU64(out, "runs2bug", h.testRunsToBug);
-    appendField(out, "wall", encodeDouble(h.wallSeconds));
-    appendField(out, "wall2bug", encodeDouble(h.wallSecondsToBug));
-    appendField(out, "check", encodeDouble(h.checkSeconds));
-    appendU64(out, "ticks", h.simTicks);
-    appendU64(out, "events", h.eventsExecuted);
-    appendU64(out, "simev", h.simEvents);
-    appendU64(out, "msgs", h.messagesSent);
-    appendField(out, "cov", encodeDouble(h.totalCoverage));
-    appendU64(out, "hits", h.checkCacheHits);
-    appendU64(out, "misses", h.checkCacheMisses);
-    appendU64(out, "distinct", h.distinctInterleavings);
-    appendField(out, "meanfit", encodeDouble(h.meanFitness));
-    appendField(out, "traj", encodeDoubleVec(h.fitnessTrajectory));
-    appendField(out, "ndt", encodeDoubleVec(h.ndtHistory));
+    campaign::visitResultFields(
+        record.result,
+        [&out](const campaign::ResultField &f, const auto &value) {
+            if (f.wire != nullptr)
+                appendField(out, f.wire, wireText(value));
+        });
     return out;
 }
 
@@ -164,76 +186,31 @@ decodeCell(const std::string &payload, CellRecord &out, std::string *err)
     out = CellRecord{};
     bool have_cell = false;
     bool have_spec = false;
-    std::istringstream in(payload);
-    std::string token;
-    while (in >> token) {
-        const std::size_t eq = token.find('=');
-        if (eq == std::string::npos || eq == 0) {
-            if (err != nullptr)
-                *err = "malformed token '" + token + "'";
-            return false;
-        }
-        const std::string key = token.substr(0, eq);
-        const std::string value = token.substr(eq + 1);
-        host::HarnessResult &h = out.result.harness;
-        if (key == "cell") {
-            out.cell = static_cast<std::size_t>(parseU64Field(value));
-            have_cell = true;
-        } else if (key == "attempt") {
-            out.attempt =
-                static_cast<std::uint32_t>(parseU64Field(value));
-        } else if (key == "spec") {
-            out.spec = unescapeToken(value);
-            have_spec = true;
-        } else if (key == "error") {
-            out.result.error = unescapeToken(value);
-        } else if (key == "pcov") {
-            out.result.protocolCoverage = decodeDouble(value);
-        } else if (key == "bug") {
-            h.bugFound = parseU64Field(value) != 0;
-        } else if (key == "detail") {
-            h.detail = unescapeToken(value);
-        } else if (key == "runs") {
-            h.testRuns = parseU64Field(value);
-        } else if (key == "runs2bug") {
-            h.testRunsToBug = parseU64Field(value);
-        } else if (key == "wall") {
-            h.wallSeconds = decodeDouble(value);
-        } else if (key == "wall2bug") {
-            h.wallSecondsToBug = decodeDouble(value);
-        } else if (key == "check") {
-            h.checkSeconds = decodeDouble(value);
-        } else if (key == "ticks") {
-            h.simTicks = parseU64Field(value);
-        } else if (key == "events") {
-            h.eventsExecuted = parseU64Field(value);
-        } else if (key == "simev") {
-            h.simEvents = parseU64Field(value);
-        } else if (key == "msgs") {
-            h.messagesSent = parseU64Field(value);
-        } else if (key == "cov") {
-            h.totalCoverage = decodeDouble(value);
-        } else if (key == "hits") {
-            h.checkCacheHits = parseU64Field(value);
-        } else if (key == "misses") {
-            h.checkCacheMisses = parseU64Field(value);
-        } else if (key == "distinct") {
-            h.distinctInterleavings = parseU64Field(value);
-        } else if (key == "meanfit") {
-            h.meanFitness = decodeDouble(value);
-        } else if (key == "traj") {
-            h.fitnessTrajectory = decodeDoubleVec(value);
-        } else if (key == "ndt") {
-            h.ndtHistory = decodeDoubleVec(value);
-        }
-        // Unknown keys: ignored (forward compatibility).
-    }
-    if (!have_cell || !have_spec) {
+    const bool parsed = forEachToken(
+        payload, err, [&](const std::string &key, const std::string &value) {
+            if (key == "cell")
+                return have_cell = decodeField(value, out.cell);
+            if (key == "attempt")
+                return decodeField(value, out.attempt);
+            if (key == "spec")
+                return have_spec = decodeField(value, out.spec);
+            // A key that names no field is ignored (forward
+            // compatibility).
+            bool ok = true;
+            campaign::visitResultFields(
+                out.result,
+                [&](const campaign::ResultField &f, auto &&field) {
+                    if (f.wire != nullptr && key == f.wire)
+                        ok = decodeField(value, field);
+                });
+            return ok;
+        });
+    if (parsed && (!have_cell || !have_spec)) {
         if (err != nullptr)
             *err = "record is missing its cell index or spec";
         return false;
     }
-    return true;
+    return parsed;
 }
 
 std::string
@@ -241,7 +218,7 @@ encodeMeta(const MetaRecord &meta)
 {
     std::string out;
     appendField(out, "meta", "mcvj1");
-    appendU64(out, "cells", meta.cells);
+    appendField(out, "cells", wireText(meta.cells));
     char buf[24];
     std::snprintf(buf, sizeof(buf), "%016llx",
                   static_cast<unsigned long long>(meta.fingerprint));
@@ -254,23 +231,16 @@ decodeMeta(const std::string &payload, MetaRecord &out)
 {
     out = MetaRecord{};
     bool is_meta = false;
-    std::istringstream in(payload);
-    std::string token;
-    while (in >> token) {
-        const std::size_t eq = token.find('=');
-        if (eq == std::string::npos)
-            return false;
-        const std::string key = token.substr(0, eq);
-        const std::string value = token.substr(eq + 1);
-        if (key == "meta") {
-            is_meta = value == "mcvj1";
-        } else if (key == "cells") {
-            out.cells = static_cast<std::size_t>(parseU64Field(value));
-        } else if (key == "matrix") {
-            out.fingerprint = std::strtoull(value.c_str(), nullptr, 16);
-        }
-    }
-    return is_meta;
+    const bool parsed = forEachToken(
+        payload, nullptr,
+        [&](const std::string &key, const std::string &value) {
+            if (key == "meta")
+                is_meta = value == "mcvj1";
+            else if (key == "matrix")
+                out.fingerprint = std::strtoull(value.c_str(), nullptr, 16);
+            return key != "cells" || decodeField(value, out.cells);
+        });
+    return parsed && is_meta;
 }
 
 std::uint64_t

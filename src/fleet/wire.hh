@@ -17,8 +17,9 @@
  *    formats the identical double, so it prints the identical text;
  *  - vectors (NDT history, fitness trajectory) are comma-joined.
  *
- * Unknown keys are ignored on decode (forward compatibility); missing
- * keys keep their default. decode fails only on structural damage.
+ * The result's keys come from campaign/schema.hh. Unknown keys are
+ * ignored on decode (forward compatibility); missing keys keep their
+ * default. decode fails on structural damage or a malformed value.
  */
 
 #ifndef MCVERSI_FLEET_WIRE_HH
@@ -49,7 +50,7 @@ struct CellRecord
 std::string encodeCell(const CellRecord &record);
 
 /** Decode; returns false (and explains in @p err, if given) on
- * structural damage. */
+ * structural damage or a malformed value. */
 bool decodeCell(const std::string &payload, CellRecord &out,
                 std::string *err = nullptr);
 
@@ -78,9 +79,10 @@ matrixFingerprint(const std::vector<campaign::CampaignSpec> &specs);
 std::string escapeToken(const std::string &text);
 std::string unescapeToken(const std::string &text);
 
-/** Bit-exact double <-> text ("%a" hexfloat; nan/inf round-trip). */
+/** Bit-exact double <-> "%a" hexfloat text (nan/inf too); decode
+ * returns false unless all of @p text is one number. */
 std::string encodeDouble(double v);
-double decodeDouble(const std::string &text);
+bool decodeDouble(const std::string &text, double &out);
 
 } // namespace mcversi::fleet
 

@@ -40,7 +40,6 @@ rigParams(const LitmusRunner::Params &params,
     rig.workload.iterations = params.iterationsPerRun;
     rig.workload.checkEveryIteration = false;
     rig.workload.checkMode = params.checkMode;
-    rig.workload.witnessWindow = params.witnessWindow;
     rig.model = params.model;
     rig.checkCacheEntries = 0;
     return rig;

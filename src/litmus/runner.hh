@@ -57,15 +57,6 @@ class LitmusRunner
          * final condition would not have fired.
          */
         mc::CheckMode checkMode = mc::CheckMode::Posthoc;
-        /**
-         * Bounded-window streaming (0 = unbounded), forwarded to the
-         * workload. Litmus self-checks inspect the finalized witness,
-         * so the workload keeps windows off while a forbidden-outcome
-         * condition is attached -- today that is every litmus run; the
-         * knob is plumbed for spec round-trips and condition-free
-         * streaming soaks.
-         */
-        std::size_t witnessWindow = 0;
     };
 
     LitmusRunner(Params params, std::vector<LitmusTest> suite);

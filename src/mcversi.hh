@@ -71,6 +71,7 @@
 #include "campaign/registry.hh"
 #include "campaign/result.hh"
 #include "campaign/runner.hh"
+#include "campaign/schema.hh"
 #include "campaign/spec.hh"
 
 #include "fleet/coordinator.hh"

@@ -270,6 +270,33 @@ TEST(CampaignSummary, NonFiniteDoublesExportAsNullAndEmptyFields)
     EXPECT_EQ(csv.find("inf"), std::string::npos);
 }
 
+TEST(CampaignSummary, CsvQuotesEveryStringField)
+{
+    // Error rows keep whatever protocol/model strings were assigned
+    // directly (validate() is what rejects them), so those columns are
+    // quoted like every other string column.
+    CampaignSummary summary;
+    CampaignResult r;
+    r.spec.protocol = "mesi,tsocc";
+    r.spec.model = "t\"so";
+    r.error = "campaign spec: protocol must be auto, mesi, or tsocc";
+    summary.results.push_back(r);
+    const std::string csv = summary.toCsv(false);
+    EXPECT_NE(csv.find(",\"mesi,tsocc\",\"t\"\"so\","), std::string::npos)
+        << csv;
+
+    // An empty leading column still gets its separator.
+    CampaignSummary blank;
+    blank.results.emplace_back();
+    blank.results[0].spec.bug.clear();
+    const std::string rows = blank.toCsv(true);
+    const std::string header = rows.substr(0, rows.find('\n'));
+    const std::string row = rows.substr(header.size() + 1);
+    EXPECT_EQ(row[0], ',') << row;
+    EXPECT_EQ(std::count(row.begin(), row.end(), ','),
+              std::count(header.begin(), header.end(), ','));
+}
+
 TEST(CampaignRunner, WindowedCampaignMatchesUnboundedWhenNothingDrops)
 {
     // A witness window large enough to retain every iteration's stream

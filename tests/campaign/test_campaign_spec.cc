@@ -51,6 +51,30 @@ TEST(CampaignSpec, EveryFieldRoundTripsThroughString)
     EXPECT_EQ(parsed.toString(), spec.toString());
 }
 
+TEST(CampaignSpec, MaxSecondsRoundTripsAtFullPrecision)
+{
+    // toString() once printed six significant digits, so these lost
+    // precision on the way through the canonical form.
+    for (const double seconds : {0.1234567, 1234567.5}) {
+        CampaignSpec spec;
+        spec.maxWallSeconds = seconds;
+        EXPECT_EQ(CampaignSpec::fromString(spec.toString()), spec)
+            << spec.toString();
+    }
+    // Values that already round-tripped keep their old spelling, so
+    // specs (and journal fingerprints) written before stay valid.
+    CampaignSpec spec;
+    spec.maxWallSeconds = 2.5;
+    EXPECT_NE(spec.toString().find(" max-seconds=2.5 "),
+              std::string::npos);
+    spec.maxWallSeconds = 120;
+    EXPECT_NE(spec.toString().find(" max-seconds=120 "),
+              std::string::npos);
+    spec.maxWallSeconds = 0.1;
+    EXPECT_NE(spec.toString().find(" max-seconds=0.1 "),
+              std::string::npos);
+}
+
 TEST(CampaignSpec, EvolutionKnobsParseAndValidate)
 {
     CampaignSpec spec;
@@ -428,6 +452,16 @@ TEST(CampaignSpec, WitnessWindowParsesValidatesAndRoundTrips)
     EXPECT_THROW(huge.validate(), std::invalid_argument);
     huge.witnessWindow = std::size_t{1} << 26;
     EXPECT_NO_THROW(huge.validate());
+
+    // Litmus runs check a final condition on the whole witness, so a
+    // bounded window would never take effect: reject it, as islands
+    // and batch are rejected.
+    CampaignSpec litmus;
+    litmus.generator = "diy-litmus";
+    litmus.checkMode = "streaming";
+    EXPECT_NO_THROW(litmus.validate());
+    litmus.witnessWindow = 4096;
+    EXPECT_THROW(litmus.validate(), std::invalid_argument);
 }
 
 TEST(CampaignListHelpers, ThreadCountParsing)

@@ -109,6 +109,29 @@ TEST(Fleet, MatchesTheInProcessRunnerByteForByte)
     }
 }
 
+TEST(Fleet, StreamingDetectionLatencyCrossesTheWire)
+{
+    // A streaming cell records how many events the checker consumed
+    // before it flagged the bug; the fleet must carry that number back
+    // like every other outcome field.
+    std::vector<campaign::CampaignSpec> specs = {smallMatrix().front()};
+    specs[0].maxTestRuns = 300;
+    specs[0].checkMode = "streaming";
+    campaign::CampaignRunner::Options in_process;
+    in_process.threads = 1;
+    const campaign::CampaignSummary reference =
+        campaign::CampaignRunner(in_process).run(specs);
+    ASSERT_TRUE(reference.results[0].harness.bugFound);
+    ASSERT_GT(reference.results[0].harness.eventsUntilDetection, 0u);
+
+    FleetCoordinator::Options options;
+    options.workers = 2;
+    options.runDir = makeRunDir("streaming");
+    const FleetReport report = FleetCoordinator(options).run(specs);
+    EXPECT_EQ(report.cellErrors, 0u);
+    EXPECT_EQ(report.summary.toJson(false), reference.toJson(false));
+}
+
 TEST(Fleet, ResumeContinuesASlicedRunToTheIdenticalSummary)
 {
     const auto specs = smallMatrix();

@@ -33,7 +33,6 @@
  *       json=campaign.json
  */
 
-#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -164,44 +163,6 @@ resolveModelList(const std::string &token)
     return campaign::splitList(token);
 }
 
-int
-parseNonNegInt(const std::string &key, const std::string &value)
-{
-    if (value.empty() ||
-        value.find_first_not_of("0123456789") != std::string::npos) {
-        throw std::invalid_argument("bad value '" + value +
-                                    "' for key '" + key +
-                                    "': expected a non-negative "
-                                    "integer");
-    }
-    const unsigned long v = std::stoul(value);
-    if (v > 1000000) {
-        throw std::invalid_argument("bad value '" + value +
-                                    "' for key '" + key +
-                                    "': out of range");
-    }
-    return static_cast<int>(v);
-}
-
-double
-parseSeconds(const std::string &key, const std::string &value)
-{
-    std::size_t pos = 0;
-    double v = 0.0;
-    try {
-        v = std::stod(value, &pos);
-    } catch (const std::exception &) {
-        pos = std::string::npos;
-    }
-    if (pos != value.size() || !std::isfinite(v) || v < 0.0) {
-        throw std::invalid_argument("bad value '" + value +
-                                    "' for key '" + key +
-                                    "': expected finite non-negative "
-                                    "seconds");
-    }
-    return v;
-}
-
 /** Atomic summary export: a crash mid-write never leaves a torn
  * file (fleet::writeFileAtomic = tmp + fsync + rename). */
 bool
@@ -213,6 +174,20 @@ exportFile(const std::string &path, const std::string &content)
         return false;
     }
     return true;
+}
+
+/** One stderr line per finished cell (in-process and fleet). */
+void
+printProgress(const campaign::CampaignResult &r, std::size_t done,
+              std::size_t total)
+{
+    std::fprintf(stderr, "[%zu/%zu] %s %s %s seed=%llu: %s\n", done, total,
+                 r.spec.bug.c_str(), r.spec.generator.c_str(),
+                 r.spec.model.c_str(),
+                 static_cast<unsigned long long>(r.spec.seed),
+                 !r.ok()              ? "ERROR"
+                 : r.harness.bugFound ? "bug found"
+                                      : "no bug");
 }
 
 void
@@ -331,11 +306,18 @@ main(int argc, char **argv)
                 fleet_options.resume = value != "0";
                 fleet_mode = true;
             } else if (key == "retries") {
-                fleet_options.retries = parseNonNegInt(key, value);
+                const std::uint64_t retries =
+                    campaign::parse::u64(key, value);
+                if (retries > 1000000) {
+                    throw std::invalid_argument(
+                        "bad value '" + value + "' for key 'retries': "
+                        "out of range");
+                }
+                fleet_options.retries = static_cast<int>(retries);
                 fleet_mode = true;
             } else if (key == "cell-timeout") {
                 fleet_options.cellTimeoutSeconds =
-                    parseSeconds(key, value);
+                    campaign::parse::nonNegative(key, value);
                 fleet_mode = true;
             } else {
                 matrix.base.set(arg);
@@ -367,18 +349,7 @@ main(int argc, char **argv)
     if (fleet_mode) {
         fleet_options.evalThreads = eval_threads;
         if (!quiet) {
-            fleet_options.onResult =
-                [](const campaign::CampaignResult &r, std::size_t done,
-                   std::size_t total) {
-                    std::fprintf(
-                        stderr, "[%zu/%zu] %s %s %s seed=%llu: %s\n",
-                        done, total, r.spec.bug.c_str(),
-                        r.spec.generator.c_str(), r.spec.model.c_str(),
-                        static_cast<unsigned long long>(r.spec.seed),
-                        !r.ok() ? "ERROR"
-                        : r.harness.bugFound ? "bug found"
-                                             : "no bug");
-                };
+            fleet_options.onResult = printProgress;
             fleet_options.onRetry = [](std::size_t cell, int attempt,
                                        const std::string &why) {
                 std::fprintf(stderr,
@@ -416,17 +387,7 @@ main(int argc, char **argv)
         options.threads = threads;
         options.evalThreads = eval_threads;
         if (!quiet) {
-            options.onResult = [](const campaign::CampaignResult &r,
-                                  std::size_t done, std::size_t total) {
-                std::fprintf(
-                    stderr, "[%zu/%zu] %s %s %s seed=%llu: %s\n", done,
-                    total, r.spec.bug.c_str(), r.spec.generator.c_str(),
-                    r.spec.model.c_str(),
-                    static_cast<unsigned long long>(r.spec.seed),
-                    !r.ok() ? "ERROR"
-                    : r.harness.bugFound ? "bug found"
-                                         : "no bug");
-            };
+            options.onResult = printProgress;
         }
         const campaign::CampaignRunner runner(options);
         summary = runner.run(specs);
