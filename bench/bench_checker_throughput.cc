@@ -7,7 +7,11 @@
  * orders, and runs the axiomatic checker. This bench isolates exactly
  * that loop -- replay a pre-generated record trace into one reused
  * ExecWitness, finalize, check with one reused Checker -- and reports
- * tests/sec and check-µs/event per scenario, plus an aggregate.
+ * tests/sec and check-µs/event per scenario, plus an aggregate. The
+ * paper-shaped scenarios reuse 8-32 addresses; "campaign-256" has a
+ * campaign's address density instead (256 ops over 1024 addresses, so
+ * most events touch an address no earlier event touched), which is what
+ * the witness's per-address index pays for.
  *
  * Traces are SC-consistent by construction (reads observe the current
  * value of a simulated interleaved memory), so every check exercises
@@ -34,7 +38,7 @@
  * variants where a stale read closes a two-event po-loc/fr cycle
  * mid-trace: there the streaming side stops recording at the violating
  * event (the simulation early stop) while post-hoc pays the full trace
- * and check. Timed cells cover the paper-sized shape and up (on a
+ * and check. Timed cells cover the campaign-sized shape and up (on a
  * ~150-event trace both sides are dominated by fixed per-stream
  * costs, so the ratio measures constant factors, not throughput).
  * Before any timing, every (scenario x model) pair -- clean
@@ -1035,10 +1039,11 @@ main()
     // bracket it so both constant and per-event costs are visible.
     const Scenario scenarios[] = {
         {"small-256", 2, 64, 8, 101},
+        {"campaign-256", 4, 64, 1024, 606},
         {"paper-1k", 4, 250, 16, 202},
         {"large-8k", 8, 1024, 32, 303},
     };
-    const int base_repeats[] = {4000, 1200, 120};
+    const int base_repeats[] = {4000, 3000, 1200, 120};
 
     const mc::Checker checker(mc::makeTso());
     std::vector<ScenarioResult> results;
@@ -1048,7 +1053,7 @@ main()
         results.push_back(
             runScenario(scenarios[i], checker, repeats));
         const ScenarioResult &r = results.back();
-        std::printf("%-10s %zu events  %6d repeats  %8.3f s  "
+        std::printf("%-12s %zu events  %6d repeats  %8.3f s  "
                     "%10.1f tests/s  %8.4f us/event\n",
                     r.scenario->name, r.events, r.repeats, r.seconds,
                     r.testsPerSec(), r.usPerEvent());
@@ -1070,11 +1075,12 @@ main()
     // incremental graphs well past the paper's test sizes.
     const Scenario streaming_shapes[] = {
         {"small-256", 2, 64, 8, 101},
+        {"campaign-256", 4, 64, 1024, 606},
         {"paper-1k", 4, 250, 16, 202},
         {"large-8k", 8, 1024, 32, 303},
         {"large-32k", 8, 4096, 64, 505},
     };
-    const int streaming_repeats[] = {4000, 1200, 120, 32};
+    const int streaming_repeats[] = {4000, 3000, 1200, 120, 32};
 
     const int gate_checks = streamingDivergenceGate(
         streaming_shapes, std::size(streaming_shapes));
@@ -1091,20 +1097,21 @@ main()
     std::vector<StreamingPair> consistent;
     std::vector<StreamingPair> violation;
     for (std::size_t i = 0; i < std::size(streaming_shapes); ++i) {
-        // Timed cells cover the paper-sized shape and up; the ~150
+        // Timed cells cover the campaign-sized shape and up; the ~150
         // event shape is dominated by per-stream fixed costs on both
         // sides (and, for violation cells, leaves no trace to skip),
         // so its timings measure constant factors rather than checking
         // throughput. The divergence gate above still exercises it
         // under every model.
-        if (streaming_shapes[i].opsPerThread < 250)
+        if (streaming_shapes[i].threads * streaming_shapes[i].opsPerThread <
+            256)
             continue;
         const int repeats = std::max(
             1, static_cast<int>(streaming_repeats[i] * scale));
         consistent.push_back(
             runStreamingConsistent(streaming_shapes[i], repeats));
         const StreamingPair &c = consistent.back();
-        std::printf("stream-ok  %-10s %zu events  %6d repeats  "
+        std::printf("stream-ok  %-12s %zu events  %6d repeats  "
                     "posthoc %8.1f tests/s  streaming %8.1f tests/s  "
                     "slowdown %4.2fx\n",
                     c.scenario->name, c.events, c.repeats,
@@ -1113,7 +1120,7 @@ main()
         violation.push_back(
             runStreamingViolation(streaming_shapes[i], repeats));
         const StreamingPair &v = violation.back();
-        std::printf("stream-bug %-10s %zu events  detect@%llu  "
+        std::printf("stream-bug %-12s %zu events  detect@%llu  "
                     "posthoc %8.1f tests/s  streaming %8.1f tests/s  "
                     "speedup %4.2fx\n",
                     v.scenario->name, v.events,

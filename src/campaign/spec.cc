@@ -489,6 +489,17 @@ parseSeedList(const std::string &text)
     return seeds;
 }
 
+std::vector<std::string>
+resolveModelList(const std::string &token)
+{
+    if (token == "all")
+        return mc::modelNames();
+    std::vector<std::string> models = splitList(token);
+    for (std::string &m : models)
+        m = parse::model("models", m);
+    return models;
+}
+
 int
 parseThreadCount(const std::string &key, const std::string &value)
 {

@@ -181,6 +181,14 @@ std::vector<std::string> splitList(const std::string &text, char sep = ';');
 std::vector<std::uint64_t> parseSeedList(const std::string &text);
 
 /**
+ * Resolve a models= token: "all" => every registered model, otherwise
+ * a ';'-separated list whose items are lower-cased and checked like
+ * the model= key, so "PSO" and "pso" name the same cell. Throws
+ * std::invalid_argument on an unknown model.
+ */
+std::vector<std::string> resolveModelList(const std::string &token);
+
+/**
  * Resolve a bug-list token: "all" => every studied bug, "mesi"/"tsocc"
  * => that protocol's bugs plus the protocol-agnostic ones, otherwise a
  * ';'-separated list of paper bug names.

@@ -1,14 +1,16 @@
 /**
  * @file
- * Flat hash table keyed by line address.
+ * Flat hash table keyed by a 64-bit address.
  *
  * Every per-line map on the simulator's message path (an L1's queued
  * core requests and writeback buffers, an L2's eviction buffers,
  * waiting requests and stale recall acks, TSO-CC's directory metadata,
- * main memory's lines) is a LineTable. It is one array of (key, value)
- * slots with power-of-two capacity, linear probing and backward-shift
- * deletion, so a lookup touches one short run of adjacent slots and
- * there is no per-entry node to allocate.
+ * main memory's lines) is an AddrTable keyed by line address, and
+ * ExecWitness's address index (dense AddrId and init event per word
+ * address) is one keyed by word address. It is one array of (key,
+ * value) slots with power-of-two capacity, linear probing and
+ * backward-shift deletion, so a lookup touches one short run of
+ * adjacent slots and there is no per-entry node to allocate.
  *
  * Slots are allocated by the first insert, never by the constructor,
  * and clear() keeps them. An erased or cleared slot keeps its value
@@ -24,8 +26,8 @@
  * instead.
  */
 
-#ifndef MCVERSI_SIM_LINE_TABLE_HH
-#define MCVERSI_SIM_LINE_TABLE_HH
+#ifndef MCVERSI_COMMON_ADDR_TABLE_HH
+#define MCVERSI_COMMON_ADDR_TABLE_HH
 
 #include <bit>
 #include <cassert>
@@ -35,11 +37,11 @@
 
 #include "common/types.hh"
 
-namespace mcversi::sim {
+namespace mcversi {
 
-/** Open-addressing map from line address to @p V. */
+/** Open-addressing map from address to @p V. */
 template <typename V>
-class LineTable
+class AddrTable
 {
   public:
     std::size_t size() const { return size_; }
@@ -63,7 +65,7 @@ class LineTable
     const V *
     find(Addr key) const
     {
-        return const_cast<LineTable *>(this)->find(key);
+        return const_cast<AddrTable *>(this)->find(key);
     }
 
     bool contains(Addr key) const { return find(key) != nullptr; }
@@ -151,8 +153,8 @@ class LineTable
     std::size_t
     home(Addr key) const
     {
-        // Fibonacci hashing: line addresses share their low zero bits,
-        // so take the product's high bits.
+        // Fibonacci hashing: line and word addresses share their low
+        // zero bits, so take the product's high bits.
         return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ull) >>
                                         shift_);
     }
@@ -183,6 +185,6 @@ class LineTable
     int shift_ = 64;
 };
 
-} // namespace mcversi::sim
+} // namespace mcversi
 
-#endif // MCVERSI_SIM_LINE_TABLE_HH
+#endif // MCVERSI_COMMON_ADDR_TABLE_HH

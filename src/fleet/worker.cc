@@ -66,8 +66,10 @@ writeAll(int fd, const void *data, std::size_t size)
  * Test hook: MCVERSI_FLEET_TEST_HANG_CELL=<i> makes every attempt on
  * cell i hang forever (until the coordinator's cell-timeout kill);
  * MCVERSI_FLEET_TEST_HANG_MAX_ATTEMPT=<k> limits the hang to attempts
- * <= k so retry-then-succeed paths are testable. Only the fleet's own
- * robustness tests set these.
+ * <= k so retry-then-succeed paths are testable. The fleet's
+ * robustness tests set these, and CI's kill+resume gate sets the first
+ * so its run is still going when a worker is killed and the
+ * coordinator interrupted.
  */
 bool
 testHookShouldHang(std::uint32_t cell, std::uint32_t attempt)

@@ -26,18 +26,10 @@ struct PoKey
 AddrId
 ExecWitness::internAddr(Addr addr)
 {
-    const auto pos =
-        std::lower_bound(addrTable_.begin(), addrTable_.end(), addr);
-    const auto idx =
-        static_cast<std::size_t>(pos - addrTable_.begin());
-    if (pos != addrTable_.end() && *pos == addr)
-        return addrTableIds_[idx];
-    const auto id = static_cast<AddrId>(addrTable_.size());
-    addrTable_.insert(pos, addr);
-    addrTableIds_.insert(addrTableIds_.begin() +
-                             static_cast<std::ptrdiff_t>(idx),
-                         id);
-    return id;
+    AddrEntry &entry = addrs_[addr];
+    if (entry.id < 0) // Just inserted: the next id in first-touch order.
+        entry.id = static_cast<AddrId>(addrs_.size() - 1);
+    return entry.id;
 }
 
 EventId
@@ -83,57 +75,38 @@ ExecWitness::addEvent(const Event &ev)
                                            threadIds_.end(),
                                            ev.iiid.pid),
                           ev.iiid.pid);
-    } else {
-        // Events may be recorded out of program order (stores are
-        // recorded when they serialize, which can be after younger
-        // loads retired). Append now, sort once at finalize().
-        const Event &prev =
-            events_[static_cast<std::size_t>(vec.back())];
-        if (PoKey{prev.iiid.poi, prev.sub, vec.back()} >
-            PoKey{ev.iiid.poi, ev.sub, id}) {
-            poSorted_ = false;
-        }
     }
-    vec.push_back(id);
+    // Events may be recorded out of program order: stores are recorded
+    // when they serialize, which can be after younger loads retired.
+    // Walk back from the tail to the event's (poi, sub, id) position; a
+    // late store passes at most a store queue's depth of events.
+    const PoKey key{ev.iiid.poi, ev.sub, id};
+    auto pos = vec.end();
+    while (pos != vec.begin()) {
+        const EventId prev = *(pos - 1);
+        const Event &pe = events_[static_cast<std::size_t>(prev)];
+        if (PoKey{pe.iiid.poi, pe.sub, prev} < key)
+            break;
+        --pos;
+    }
+    vec.insert(pos, id);
     return id;
-}
-
-void
-ExecWitness::ensurePoSorted() const
-{
-    if (poSorted_)
-        return;
-    for (Pid pid : threadIds_) {
-        auto &vec = perThread_[static_cast<std::size_t>(pid)];
-        std::sort(vec.begin(), vec.end(),
-                  [this](EventId a, EventId b) {
-                      const Event &ea =
-                          events_[static_cast<std::size_t>(a)];
-                      const Event &eb =
-                          events_[static_cast<std::size_t>(b)];
-                      return PoKey{ea.iiid.poi, ea.sub, a} <
-                             PoKey{eb.iiid.poi, eb.sub, b};
-                  });
-    }
-    poSorted_ = true;
 }
 
 EventId
 ExecWitness::getOrCreateInit(Addr addr)
 {
-    const auto pos = std::lower_bound(
-        initEvents_.begin(), initEvents_.end(), addr,
-        [](const auto &entry, Addr a) { return entry.first < a; });
-    if (pos != initEvents_.end() && pos->first == addr)
-        return pos->second;
-    const auto idx = pos - initEvents_.begin();
+    if (const EventId init = initEvent(addr); init != kNoEvent)
+        return init;
     Event ev;
     ev.iiid = Iiid{kInitPid, -1};
     ev.type = EventType::Write;
     ev.addr = addr;
     ev.value = kInitVal;
-    const EventId id = addEvent(ev); // Does not touch initEvents_.
-    initEvents_.insert(initEvents_.begin() + idx, {addr, id});
+    const EventId id = addEvent(ev);
+    // Look the entry up again: interning in addEvent() may have grown
+    // the table.
+    addrs_.find(addr)->init = id;
     return id;
 }
 
@@ -267,7 +240,6 @@ ExecWitness::finalize()
     }
     finalized_ = true;
 
-    ensurePoSorted();
     // Write values are globally unique, so one sort turns the recorded
     // (value, writer) log into a binary-searchable index.
     std::sort(valueToWriter_.begin(), valueToWriter_.end());
@@ -332,7 +304,6 @@ ExecWitness::threadEvents(Pid pid) const
 {
     if (pid < 0 || static_cast<std::size_t>(pid) >= perThread_.size())
         return emptyThread_;
-    ensurePoSorted();
     return perThread_[static_cast<std::size_t>(pid)];
 }
 
@@ -360,11 +331,8 @@ ExecWitness::rfSource(EventId r) const
 EventId
 ExecWitness::initEvent(Addr addr) const
 {
-    const auto pos = std::lower_bound(
-        initEvents_.begin(), initEvents_.end(), addr,
-        [](const auto &entry, Addr a) { return entry.first < a; });
-    return pos != initEvents_.end() && pos->first == addr ? pos->second
-                                                          : kNoEvent;
+    const AddrEntry *entry = addrs_.find(addr);
+    return entry ? entry->init : kNoEvent;
 }
 
 void
@@ -376,12 +344,9 @@ ExecWitness::reset()
     for (auto &vec : perThread_)
         vec.clear();
     threadIds_.clear();
-    poSorted_ = true;
     valueToWriter_.clear();
     writersSorted_ = false;
-    initEvents_.clear();
-    addrTable_.clear();
-    addrTableIds_.clear();
+    addrs_.clear();
     addrIdOf_.clear();
     coSucc_.clear();
     coPred_.clear();

@@ -20,10 +20,14 @@
  * per-address coherence chain, e.g. after a lost writeback).
  *
  * The witness sits on the verification hot path (it is rebuilt for every
- * iteration of every test-run), so all per-event lookup structures are
- * dense EventId-indexed vectors, recording appends in O(1) with sorting
- * deferred to finalize(), and reset() preserves every buffer's capacity
- * so steady-state iterations are allocation-free.
+ * iteration of every test-run), so its bookkeeping is O(1) amortised per
+ * event on both the record path and in finalize(): per-event lookup
+ * structures are dense EventId-indexed vectors, one flat AddrTable maps
+ * each address to its dense id and init event, and each event enters
+ * its thread's list at its program-order position when it is recorded
+ * (stores arrive at most a store queue's depth late, so the walk back
+ * from the tail is short). reset() preserves every buffer's capacity so
+ * steady-state iterations are allocation-free.
  *
  * Windowed (sink-only) mode: setWindow(W) turns recording into a ring
  * buffer of the last W events, for soak runs where a streaming checker
@@ -47,6 +51,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/addr_table.hh"
 #include "memconsistency/event.hh"
 
 namespace mcversi::mc {
@@ -209,7 +214,7 @@ class ExecWitness
     }
 
     /** Number of distinct addresses referenced by recorded events. */
-    std::size_t numAddrs() const { return addrTable_.size(); }
+    std::size_t numAddrs() const { return addrs_.size(); }
 
     WitnessAnomaly anomaly() const { return anomaly_; }
     const std::string &anomalyInfo() const { return anomalyInfo_; }
@@ -250,25 +255,27 @@ class ExecWitness
     EventId getOrCreateInit(Addr addr);
     AddrId internAddr(Addr addr);
     void flagAnomaly(WitnessAnomaly kind, std::string info);
-    /** Sort per-thread event lists by (poi, sub, id) if needed. */
-    void ensurePoSorted() const;
+
+    /** Per-address index entry: dense id and init event. */
+    struct AddrEntry
+    {
+        AddrId id = -1;
+        EventId init = kNoEvent;
+    };
 
     std::vector<Event> events_;
-    /** Per-thread event lists, indexed directly by Pid. */
-    mutable std::vector<std::vector<EventId>> perThread_;
+    /**
+     * Per-thread event lists, indexed directly by Pid, each kept in
+     * (poi, sub, id) order as events arrive.
+     */
+    std::vector<std::vector<EventId>> perThread_;
     /** Pids with at least one event, kept sorted as events arrive. */
     std::vector<Pid> threadIds_;
-    /** False once some thread recorded out of program order. */
-    mutable bool poSorted_ = true;
     /** (value, writer), sorted by value at finalize() for lookups. */
     std::vector<std::pair<WriteVal, EventId>> valueToWriter_;
     bool writersSorted_ = false;
-    /** Sorted (address, init event) pairs. */
-    std::vector<std::pair<Addr, EventId>> initEvents_;
-    /** Distinct addresses in dense-id order; kept sorted for lookup. */
-    std::vector<Addr> addrTable_;
-    /** Dense AddrId assigned to addrTable_ entries (parallel array). */
-    std::vector<AddrId> addrTableIds_;
+    /** Every referenced address; ids are assigned in first-touch order. */
+    AddrTable<AddrEntry> addrs_;
     /** Per-event dense address id. */
     std::vector<AddrId> addrIdOf_;
     /**

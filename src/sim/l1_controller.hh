@@ -17,11 +17,11 @@
 
 #include <optional>
 
+#include "common/addr_table.hh"
 #include "sim/cache_array.hh"
 #include "sim/config.hh"
 #include "sim/eventq.hh"
 #include "sim/fifo.hh"
-#include "sim/line_table.hh"
 #include "sim/network.hh"
 #include "sim/ports.hh"
 #include "sim/transition_table.hh"
@@ -150,8 +150,8 @@ class L1Controller : public L1Cache, public MsgHandler
     CoreHooks hooks_;
 
     CacheArray array_;
-    LineTable<EvictBuf> evict_;
-    LineTable<Fifo<PendingReq>> pending_;
+    AddrTable<EvictBuf> evict_;
+    AddrTable<Fifo<PendingReq>> pending_;
 
   private:
     void request(const PendingReq &req);

@@ -17,11 +17,11 @@
 
 #include <string>
 
+#include "common/addr_table.hh"
 #include "sim/cache_array.hh"
 #include "sim/config.hh"
 #include "sim/eventq.hh"
 #include "sim/fifo.hh"
-#include "sim/line_table.hh"
 #include "sim/network.hh"
 #include "sim/stall_queues.hh"
 #include "sim/transition_table.hh"
@@ -141,9 +141,9 @@ class L2Controller : public MsgHandler
     TransitionTable table_;
 
     CacheArray array_;
-    LineTable<EvictBuf> evict_;
+    AddrTable<EvictBuf> evict_;
     /** Requests waiting out their line's transaction. */
-    LineTable<Fifo<Msg>> waiting_;
+    AddrTable<Fifo<Msg>> waiting_;
 
   private:
     /** Stage a pool-owned outbound message and let @p fill populate it. */
@@ -165,7 +165,7 @@ class L2Controller : public MsgHandler
     std::uint8_t fetchExclusive_;
     SetStallQueues stalls_;
     /** Stale owner recall acks still in flight, per line. */
-    LineTable<int> staleRecallAcks_;
+    AddrTable<int> staleRecallAcks_;
 };
 
 } // namespace mcversi::sim

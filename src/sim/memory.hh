@@ -11,9 +11,9 @@
 #ifndef MCVERSI_SIM_MEMORY_HH
 #define MCVERSI_SIM_MEMORY_HH
 
+#include "common/addr_table.hh"
 #include "common/rng.hh"
 #include "sim/eventq.hh"
-#include "sim/line_table.hh"
 #include "sim/message.hh"
 
 namespace mcversi::sim {
@@ -53,7 +53,7 @@ class MainMemory : public MsgHandler
     Network &net_;
     Rng rng_;
     Params params_;
-    LineTable<LineData> lines_;
+    AddrTable<LineData> lines_;
     std::uint64_t reads_ = 0;
     std::uint64_t writes_ = 0;
 };

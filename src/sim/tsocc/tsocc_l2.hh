@@ -79,7 +79,7 @@ class TsoccL2 : public L2Controller
      * invariant: a line without metadata has never been written, so
      * readers need no conservative self-invalidation for it.
      */
-    LineTable<TsMeta> metaStore_;
+    AddrTable<TsMeta> metaStore_;
 };
 
 } // namespace mcversi::sim

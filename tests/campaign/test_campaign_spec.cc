@@ -11,6 +11,7 @@
 
 #include "campaign/registry.hh"
 #include "campaign/spec.hh"
+#include "memconsistency/models/registry.hh"
 
 using namespace mcversi;
 using namespace mcversi::campaign;
@@ -288,6 +289,24 @@ TEST(CampaignListHelpers, SeedLists)
     EXPECT_THROW(parseSeedList("4..1"), std::invalid_argument);
     EXPECT_THROW(parseSeedList("x..9"), std::invalid_argument);
     EXPECT_THROW(parseSeedList(""), std::invalid_argument);
+}
+
+TEST(CampaignListHelpers, ModelListsAreLowerCasedAndChecked)
+{
+    // models=PSO must name the same cell as model=PSO.
+    EXPECT_EQ(resolveModelList("PSO;Tso"),
+              (std::vector<std::string>{"pso", "tso"}));
+    CampaignSpec single;
+    single.set("model=PSO");
+    CampaignMatrix matrix;
+    matrix.models = resolveModelList("PSO");
+    const std::vector<CampaignSpec> specs = matrix.expand();
+    ASSERT_EQ(specs.size(), 1u);
+    EXPECT_EQ(specs[0], single);
+    EXPECT_EQ(specs[0].toString(), single.toString());
+    EXPECT_EQ(resolveModelList("all"), mc::modelNames());
+    EXPECT_THROW(resolveModelList("tso;no-such-model"),
+                 std::invalid_argument);
 }
 
 TEST(CampaignListHelpers, BugLists)

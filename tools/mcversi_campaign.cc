@@ -154,15 +154,6 @@ listModels()
         std::printf("%s\n", name.c_str());
 }
 
-/** Resolve a models= token: "all" => every registered model. */
-std::vector<std::string>
-resolveModelList(const std::string &token)
-{
-    if (token == "all")
-        return mc::modelNames();
-    return campaign::splitList(token);
-}
-
 /** Atomic summary export: a crash mid-write never leaves a torn
  * file (fleet::writeFileAtomic = tmp + fsync + rename). */
 bool
@@ -280,7 +271,7 @@ main(int argc, char **argv)
                 matrix.generators =
                     campaign::resolveGeneratorList(value);
             } else if (key == "models") {
-                matrix.models = resolveModelList(value);
+                matrix.models = campaign::resolveModelList(value);
             } else if (key == "seeds") {
                 matrix.seeds = campaign::parseSeedList(value);
             } else if (key == "threads") {
