@@ -7,10 +7,15 @@
  * waiting requests and stale recall acks, TSO-CC's directory metadata,
  * main memory's lines) is an AddrTable keyed by line address, and
  * ExecWitness's address index (dense AddrId and init event per word
- * address) is one keyed by word address. It is one array of (key,
- * value) slots with power-of-two capacity, linear probing and
- * backward-shift deletion, so a lookup touches one short run of
- * adjacent slots and there is no per-entry node to allocate.
+ * address) is one keyed by word address. The checkers key two more by
+ * written value: ExecWitness's writer index and StreamingChecker's
+ * value table. Keys may be any 64-bit value except kNoAddr, the empty
+ * slot's key, which those two callers keep beside the table.
+ *
+ * It is one array of (key, value) slots with power-of-two capacity,
+ * linear probing and backward-shift deletion, so a lookup touches one
+ * short run of adjacent slots and there is no per-entry node to
+ * allocate.
  *
  * Slots are allocated by the first insert, never by the constructor,
  * and clear() keeps them. An erased or cleared slot keeps its value

@@ -32,55 +32,82 @@ ExecWitness::internAddr(Addr addr)
     return entry.id;
 }
 
-EventId
-ExecWitness::addEvent(const Event &ev)
-{
-    if (window_ != 0) {
-        // Ring mode: overwrite the slot of the event evicted W ids ago.
-        // None of the finalize-supporting structures are maintained --
-        // the stream's checker is the consumer, the ring is only for
-        // post-hoc diagnostics over the retained tail.
-        assert(!ev.isInit());
-        const auto id = static_cast<EventId>(recorded_++);
-        const std::size_t slot = static_cast<std::size_t>(id) % window_;
-        const AddrId aid =
-            ev.addr == kNoAddr ? AddrId{-1} : internAddr(ev.addr);
-        if (slot < events_.size()) {
-            events_[slot] = ev;
-            addrIdOf_[slot] = aid;
-        } else {
-            events_.push_back(ev);
-            addrIdOf_.push_back(aid);
-        }
-        return id;
-    }
+namespace {
 
+/**
+ * Write an event into its slot field by field. Building an Event on
+ * the stack and copying it in stalls the copy's wide loads on the
+ * narrow stores that built it.
+ */
+void
+fillEvent(Event &ev, Pid pid, std::int32_t poi, EventType type, Addr addr,
+          WriteVal value, std::uint8_t sub, bool rmw)
+{
+    ev.iiid.pid = pid;
+    ev.iiid.poi = poi;
+    ev.type = type;
+    ev.addr = addr;
+    ev.value = value;
+    ev.sub = sub;
+    ev.rmw = rmw;
+}
+
+} // namespace
+
+EventId
+ExecWitness::appendEvent(Pid pid, std::int32_t poi, EventType type,
+                         Addr addr, WriteVal value, std::uint8_t sub,
+                         bool rmw, AddrId aid)
+{
     const EventId id = static_cast<EventId>(events_.size());
-    events_.push_back(ev);
-    addrIdOf_.push_back(ev.addr == kNoAddr ? AddrId{-1}
-                                           : internAddr(ev.addr));
+    fillEvent(events_.emplace_back(), pid, poi, type, addr, value, sub, rmw);
+    addrIdOf_.push_back(aid);
     // The dense conflict-order arrays grow with the events; finalize()
     // fills them in.
     rfSrc_.push_back(kNoEvent);
     coSucc_.push_back(kNoEvent);
     coPred_.push_back(kNoEvent);
-    if (ev.isInit())
-        return id;
+    return id;
+}
 
-    if (static_cast<std::size_t>(ev.iiid.pid) >= perThread_.size())
-        perThread_.resize(static_cast<std::size_t>(ev.iiid.pid) + 1);
-    auto &vec = perThread_[static_cast<std::size_t>(ev.iiid.pid)];
+EventId
+ExecWitness::addEvent(Pid pid, std::int32_t poi, EventType type, Addr addr,
+                      WriteVal value, std::uint8_t sub, bool rmw)
+{
+    const AddrId aid = addr == kNoAddr ? AddrId{-1} : internAddr(addr);
+    if (window_ != 0) {
+        // Ring mode: overwrite the slot of the event evicted W ids ago.
+        // None of the finalize-supporting structures are maintained --
+        // the stream's checker is the consumer, the ring is only for
+        // post-hoc diagnostics over the retained tail.
+        assert(pid != kInitPid);
+        const auto id = static_cast<EventId>(recorded_++);
+        const std::size_t slot = static_cast<std::size_t>(id) % window_;
+        if (slot < events_.size()) {
+            addrIdOf_[slot] = aid;
+        } else {
+            events_.emplace_back();
+            addrIdOf_.push_back(aid);
+        }
+        fillEvent(events_[slot], pid, poi, type, addr, value, sub, rmw);
+        return id;
+    }
+
+    const EventId id =
+        appendEvent(pid, poi, type, addr, value, sub, rmw, aid);
+    if (static_cast<std::size_t>(pid) >= perThread_.size())
+        perThread_.resize(static_cast<std::size_t>(pid) + 1);
+    auto &vec = perThread_[static_cast<std::size_t>(pid)];
     if (vec.empty()) {
-        threadIds_.insert(std::lower_bound(threadIds_.begin(),
-                                           threadIds_.end(),
-                                           ev.iiid.pid),
-                          ev.iiid.pid);
+        threadIds_.insert(
+            std::lower_bound(threadIds_.begin(), threadIds_.end(), pid),
+            pid);
     }
     // Events may be recorded out of program order: stores are recorded
     // when they serialize, which can be after younger loads retired.
     // Walk back from the tail to the event's (poi, sub, id) position; a
     // late store passes at most a store queue's depth of events.
-    const PoKey key{ev.iiid.poi, ev.sub, id};
+    const PoKey key{poi, sub, id};
     auto pos = vec.end();
     while (pos != vec.begin()) {
         const EventId prev = *(pos - 1);
@@ -89,25 +116,28 @@ ExecWitness::addEvent(const Event &ev)
             break;
         --pos;
     }
-    vec.insert(pos, id);
+    if (pos == vec.end())
+        vec.push_back(id);
+    else
+        vec.insert(pos, id);
     return id;
 }
 
 EventId
 ExecWitness::getOrCreateInit(Addr addr)
 {
-    if (const EventId init = initEvent(addr); init != kNoEvent)
-        return init;
-    Event ev;
-    ev.iiid = Iiid{kInitPid, -1};
-    ev.type = EventType::Write;
-    ev.addr = addr;
-    ev.value = kInitVal;
-    const EventId id = addEvent(ev);
-    // Look the entry up again: interning in addEvent() may have grown
-    // the table.
-    addrs_.find(addr)->init = id;
-    return id;
+    // Every recorded event interned its address, so this one probe
+    // finds the entry; appending the init event leaves the table alone.
+    AddrEntry *entry = addrs_.find(addr);
+    if (entry == nullptr) {
+        internAddr(addr);
+        entry = addrs_.find(addr);
+    }
+    if (entry->init == kNoEvent) {
+        entry->init = appendEvent(kInitPid, -1, EventType::Write, addr,
+                                  kInitVal, 0, false, entry->id);
+    }
+    return entry->init;
 }
 
 void
@@ -125,14 +155,8 @@ ExecWitness::recordRead(Pid pid, std::int32_t poi, Addr addr,
                         WriteVal value, bool rmw)
 {
     assert(!finalized_ && "witness already finalized");
-    Event ev;
-    ev.iiid = Iiid{pid, poi};
-    ev.type = EventType::Read;
-    ev.addr = addr;
-    ev.value = value;
-    ev.rmw = rmw;
-    ev.sub = 0;
-    const EventId id = addEvent(ev);
+    const EventId id =
+        addEvent(pid, poi, EventType::Read, addr, value, 0, rmw);
     if (window_ != 0) {
         const std::size_t slot = static_cast<std::size_t>(id) % window_;
         if (slot < overwrittenOf_.size())
@@ -152,14 +176,8 @@ ExecWitness::recordWrite(Pid pid, std::int32_t poi, Addr addr,
                          WriteVal value, WriteVal overwritten, bool rmw)
 {
     assert(!finalized_ && "witness already finalized");
-    Event ev;
-    ev.iiid = Iiid{pid, poi};
-    ev.type = EventType::Write;
-    ev.addr = addr;
-    ev.value = value;
-    ev.rmw = rmw;
-    ev.sub = 1;
-    const EventId id = addEvent(ev);
+    const EventId id =
+        addEvent(pid, poi, EventType::Write, addr, value, 1, rmw);
     if (window_ != 0) {
         const std::size_t slot = static_cast<std::size_t>(id) % window_;
         if (slot < overwrittenOf_.size())
@@ -170,8 +188,12 @@ ExecWitness::recordWrite(Pid pid, std::int32_t poi, Addr addr,
             sink_->onRecord(*this, id, overwritten);
         return id;
     }
-    valueToWriter_.emplace_back(value, id);
-    writersSorted_ = false;
+    // The first writer of a value wins, as it must for resolution to
+    // pick the smallest event id among duplicates.
+    if (Writer &w = value == kNoAddr ? topWriter_ : writers_[value];
+        w.id == kNoEvent) {
+        w.id = id;
+    }
     overwrittenBy_.emplace_back(id, overwritten);
 
     if (rmw) {
@@ -195,15 +217,13 @@ ExecWitness::resolveWriter(Addr addr, WriteVal value, bool &unknown)
     unknown = false;
     if (value == kInitVal)
         return getOrCreateInit(addr);
-    assert(writersSorted_);
-    const auto pos = std::lower_bound(
-        valueToWriter_.begin(), valueToWriter_.end(), value,
-        [](const auto &entry, WriteVal v) { return entry.first < v; });
-    if (pos == valueToWriter_.end() || pos->first != value) {
+    const Writer *w =
+        value == kNoAddr ? &topWriter_ : writers_.find(value);
+    if (w == nullptr || w->id == kNoEvent) {
         unknown = true;
         return kNoEvent;
     }
-    return pos->second;
+    return w->id;
 }
 
 void
@@ -239,11 +259,6 @@ ExecWitness::finalize()
             "witness instead");
     }
     finalized_ = true;
-
-    // Write values are globally unique, so one sort turns the recorded
-    // (value, writer) log into a binary-searchable index.
-    std::sort(valueToWriter_.begin(), valueToWriter_.end());
-    writersSorted_ = true;
 
     // Resolve read-from. All writes are recorded by now (the system is
     // quiescent when the host verifies), so an unknown value is a real
@@ -344,8 +359,8 @@ ExecWitness::reset()
     for (auto &vec : perThread_)
         vec.clear();
     threadIds_.clear();
-    valueToWriter_.clear();
-    writersSorted_ = false;
+    writers_.clear();
+    topWriter_ = Writer{};
     addrs_.clear();
     addrIdOf_.clear();
     coSucc_.clear();

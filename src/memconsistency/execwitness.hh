@@ -23,7 +23,8 @@
  * iteration of every test-run), so its bookkeeping is O(1) amortised per
  * event on both the record path and in finalize(): per-event lookup
  * structures are dense EventId-indexed vectors, one flat AddrTable maps
- * each address to its dense id and init event, and each event enters
+ * each address to its dense id and init event, a second maps each
+ * written value to its first writer, and each event enters
  * its thread's list at its program-order position when it is recorded
  * (stores arrive at most a store queue's depth late, so the walk back
  * from the tail is short). reset() preserves every buffer's capacity so
@@ -249,7 +250,13 @@ class ExecWitness
     void reset();
 
   private:
-    EventId addEvent(const Event &ev);
+    /** Record a read or write: intern, append, enter its thread. */
+    EventId addEvent(Pid pid, std::int32_t poi, EventType type, Addr addr,
+                     WriteVal value, std::uint8_t sub, bool rmw);
+    /** Append an event (full mode) with its already-interned address. */
+    EventId appendEvent(Pid pid, std::int32_t poi, EventType type,
+                        Addr addr, WriteVal value, std::uint8_t sub,
+                        bool rmw, AddrId aid);
     /** Resolve @p value at @p addr to its producing write event. */
     EventId resolveWriter(Addr addr, WriteVal value, bool &unknown);
     EventId getOrCreateInit(Addr addr);
@@ -263,6 +270,12 @@ class ExecWitness
         EventId init = kNoEvent;
     };
 
+    /** Value-index entry: the first write of a value. */
+    struct Writer
+    {
+        EventId id = kNoEvent;
+    };
+
     std::vector<Event> events_;
     /**
      * Per-thread event lists, indexed directly by Pid, each kept in
@@ -271,9 +284,10 @@ class ExecWitness
     std::vector<std::vector<EventId>> perThread_;
     /** Pids with at least one event, kept sorted as events arrive. */
     std::vector<Pid> threadIds_;
-    /** (value, writer), sorted by value at finalize() for lookups. */
-    std::vector<std::pair<WriteVal, EventId>> valueToWriter_;
-    bool writersSorted_ = false;
+    /** Written value -> its first writer, filled at record time. */
+    AddrTable<Writer> writers_;
+    /** Entry for the value kNoAddr, the table's empty key. */
+    Writer topWriter_;
     /** Every referenced address; ids are assigned in first-touch order. */
     AddrTable<AddrEntry> addrs_;
     /** Per-event dense address id. */

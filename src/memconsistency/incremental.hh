@@ -20,18 +20,26 @@
  *
  * Like the batch CycleGraph, all scratch is generation-stamped and
  * capacity-preserving: a graph owned by a streaming checker and reset
- * per iteration is allocation-free in the steady state.
+ * per iteration is allocation-free in the steady state. Adjacency
+ * lives in one flat edge pool: each edge is a single record on two
+ * doubly linked lists, its source's out-list and its target's
+ * in-list, newest first. Adding a node writes two list heads, adding
+ * an edge appends one record, and retiring a node unlinks each of its
+ * records in O(1) without walking its neighbours' lists. Walks that
+ * need the insertion order (the forward pass, retirement) read a list
+ * into scratch and go through it backwards.
  *
  * For bounded-window (soak) streaming the graph additionally supports
  * node retirement and compaction. retireNode() splices a node out of
  * the graph -- every live in-neighbour gains an edge to every live
  * out-neighbour, so reachability (and therefore cycle detection) among
  * the surviving nodes is preserved exactly -- and recycles its slot
- * through a free list, keeping adj_/ord_/scratch sized to the live
- * window instead of the whole trace. compact() remaps the live nodes
- * onto a dense id prefix (capacity-preserving) and renumbers the
- * topological order densely so ord values cannot drift toward overflow
- * on multi-million-event streams.
+ * and its edge records through free lists, keeping the node arrays,
+ * the edge pool and the scratch sized to the live window instead of
+ * the whole trace. compact() remaps the live nodes onto a dense id
+ * prefix (capacity-preserving) and renumbers the topological order
+ * densely so ord values cannot drift toward overflow on
+ * multi-million-event streams.
  */
 
 #ifndef MCVERSI_MEMCONSISTENCY_INCREMENTAL_HH
@@ -57,38 +65,18 @@ class IncrementalGraph
      * retired slot when one is free. Inline: this runs twice per
      * streamed event.
      */
-    Node
-    addNode()
-    {
-        ++numLive_;
-        if (!freeList_.empty()) {
-            // Recycled slot: retireNode() already cleared its lists.
-            const Node id = freeList_.back();
-            freeList_.pop_back();
-            ord_[static_cast<std::size_t>(id)] = ordNext_++;
-            return id;
-        }
-        const auto id = static_cast<Node>(numNodes_);
-        if (numNodes_ == adj_.size()) {
-            adj_.emplace_back();
-            radj_.emplace_back();
-            ord_.push_back(0);
-            fwdStamp_.push_back(0);
-            bwdStamp_.push_back(0);
-            parent_.push_back(-1);
-        } else {
-            // Reused slot: stale lists from before the last reset()
-            // are cleared here, right before first use.
-            adj_[numNodes_].clear();
-            radj_[numNodes_].clear();
-        }
-        ++numNodes_;
-        // New and recycled nodes join at the end of the order (fresh
-        // ordNext_ index): they have no edges yet, so the order stays
-        // consistent.
-        ord_[static_cast<std::size_t>(id)] = ordNext_++;
-        return id;
-    }
+    Node addNode() { return place(ordNext_++); }
+
+    /**
+     * Add a node at the *front* of the topological order, for a node
+     * that will only ever gain out-edges (a source, such as an init
+     * write). Every edge out of a source is then in-order, so it never
+     * takes the reorder path, wherever its target sits. Sources take
+     * ords counting down from -1; reorder() never moves them (an
+     * affected region starts at an edge target, which is never a
+     * source), and compact() ranks them first.
+     */
+    Node addSource() { return place(srcNext_--); }
 
     /** Slots in use: the exclusive upper bound on valid node ids. */
     std::size_t numNodes() const { return numNodes_; }
@@ -111,8 +99,7 @@ class IncrementalGraph
     {
         assert(!poisoned_ && "graph poisoned by an earlier cycle");
         if (from != to) {
-            adj_[static_cast<std::size_t>(from)].push_back(to);
-            radj_[static_cast<std::size_t>(to)].push_back(from);
+            link(from, to);
             if (ord_[static_cast<std::size_t>(from)] <
                 ord_[static_cast<std::size_t>(to)]) {
                 return true;
@@ -123,6 +110,16 @@ class IncrementalGraph
 
     bool hasCycle() const { return poisoned_; }
 
+    /** Insertions that took the reorder path since reset() (tests). */
+    std::uint64_t reorders() const { return reorders_; }
+
+    /** @p n's index in the maintained topological order (tests). */
+    std::int32_t
+    ord(Node n) const
+    {
+        return ord_[static_cast<std::size_t>(n)];
+    }
+
     /**
      * The cycle closed by the failing addEdge(): its node sequence in
      * edge order (first node repeated at the end is omitted), starting
@@ -130,17 +127,11 @@ class IncrementalGraph
      */
     const std::vector<Node> &lastCycle() const { return cycle_; }
 
-    /** Successors inserted so far (diagnostics / tests). */
-    const std::vector<Node> &successors(Node n) const
-    {
-        return adj_[static_cast<std::size_t>(n)];
-    }
+    /** Successors inserted so far, in insertion order (tests). */
+    std::vector<Node> successors(Node n) const;
 
-    /** Predecessors inserted so far (diagnostics / tests). */
-    const std::vector<Node> &predecessors(Node n) const
-    {
-        return radj_[static_cast<std::size_t>(n)];
-    }
+    /** Predecessors inserted so far, in insertion order (tests). */
+    std::vector<Node> predecessors(Node n) const;
 
     /**
      * Splice @p n out of the graph and recycle its slot. Every live
@@ -163,6 +154,101 @@ class IncrementalGraph
     void compact(const std::vector<Node> &remap, Node newCount);
 
   private:
+    /** No edge: the end of a list. */
+    static constexpr std::int32_t kNil = -1;
+
+    /** One edge, on @c from's out-list and @c to's in-list. */
+    struct Edge
+    {
+        Node from;
+        Node to;
+        std::int32_t nextOut;
+        std::int32_t prevOut;
+        std::int32_t nextIn;
+        std::int32_t prevIn;
+    };
+
+    /** List heads of one node (newest edge first). */
+    struct Heads
+    {
+        std::int32_t out = kNil;
+        std::int32_t in = kNil;
+    };
+
+    /** Put the edge @p from -> @p to on both lists (no order check). */
+    void
+    link(Node from, Node to)
+    {
+        Heads &hf = heads_[static_cast<std::size_t>(from)];
+        Heads &ht = heads_[static_cast<std::size_t>(to)];
+        std::int32_t e = freeEdge_;
+        Edge *rec;
+        if (e != kNil) {
+            rec = &edges_[static_cast<std::size_t>(e)];
+            freeEdge_ = rec->nextOut;
+        } else {
+            e = static_cast<std::int32_t>(edges_.size());
+            rec = &edges_.emplace_back();
+        }
+        // Stored field by field, as newNode() in the streaming checker
+        // does, for the same reason.
+        rec->from = from;
+        rec->to = to;
+        rec->nextOut = hf.out;
+        rec->prevOut = kNil;
+        rec->nextIn = ht.in;
+        rec->prevIn = kNil;
+        if (hf.out != kNil)
+            edges_[static_cast<std::size_t>(hf.out)].prevOut = e;
+        if (ht.in != kNil)
+            edges_[static_cast<std::size_t>(ht.in)].prevIn = e;
+        hf.out = e;
+        ht.in = e;
+    }
+
+    /** Append @p n's successors to @p out, in insertion order. */
+    void appendSuccessors(Node n, std::vector<Node> &out) const;
+    /** Append @p n's predecessors to @p out, in insertion order. */
+    void appendPredecessors(Node n, std::vector<Node> &out) const;
+    /** Take edge @p e off its target's in-list. */
+    void unlinkIn(std::int32_t e);
+    /** Take edge @p e off its source's out-list. */
+    void unlinkOut(std::int32_t e);
+
+    /**
+     * Take a slot (a retired one when free) and give it order index
+     * @p ord. addNode() and addSource() share one id space.
+     */
+    Node
+    place(std::int32_t ord)
+    {
+        ++numLive_;
+        if (!freeList_.empty()) {
+            // Recycled slot: retireNode() already cleared its lists.
+            const Node id = freeList_.back();
+            freeList_.pop_back();
+            ord_[static_cast<std::size_t>(id)] = ord;
+            return id;
+        }
+        const auto id = static_cast<Node>(numNodes_);
+        if (numNodes_ == heads_.size()) {
+            heads_.emplace_back();
+            ord_.push_back(0);
+            fwdStamp_.push_back(0);
+            bwdStamp_.push_back(0);
+            parent_.push_back(-1);
+        } else {
+            // Reused slot: the heads still name edges from before the
+            // last reset(), whose pool is gone.
+            heads_[numNodes_] = Heads{};
+        }
+        ++numNodes_;
+        // A fresh node has no edges yet, so the order stays consistent
+        // at either end.
+        ord_[static_cast<std::size_t>(id)] = ord;
+        return id;
+    }
+
     /** addEdge() slow path: self-loops and order repairs. */
     bool addEdgeSlow(Node from, Node to);
 
@@ -177,9 +263,11 @@ class IncrementalGraph
         return stamp[static_cast<std::size_t>(n)] == gen_;
     }
 
-    std::vector<std::vector<Node>> adj_;
-    /** Reverse adjacency, for the backward pass of reorder(). */
-    std::vector<std::vector<Node>> radj_;
+    /** Edge pool; freed records chain through nextOut from freeEdge_. */
+    std::vector<Edge> edges_;
+    std::int32_t freeEdge_ = kNil;
+    /** Node -> its out- and in-list heads. */
+    std::vector<Heads> heads_;
     /** Node -> index in the maintained topological order. */
     std::vector<std::int32_t> ord_;
     std::size_t numNodes_ = 0;
@@ -187,6 +275,9 @@ class IncrementalGraph
     /** Next topological-order index to hand out (monotone; compact()
      *  and reset() rebase it so it cannot creep toward overflow). */
     std::int32_t ordNext_ = 0;
+    /** Next order index for addSource(): counts down from -1. */
+    std::int32_t srcNext_ = -1;
+    std::uint64_t reorders_ = 0;
     /** Retired slots available for recycling. */
     std::vector<Node> freeList_;
 
@@ -202,6 +293,9 @@ class IncrementalGraph
     std::vector<Node> stack_;
     std::vector<Node> fwd_;
     std::vector<Node> bwd_;
+    /** One node's neighbours in insertion order (forward pass and
+     *  retirement). */
+    std::vector<Node> nbrs_;
     std::vector<std::int32_t> idxScratch_;
 };
 

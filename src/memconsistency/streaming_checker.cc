@@ -8,16 +8,6 @@ namespace mcversi::mc {
 
 namespace {
 
-/** splitmix64 finalizer: cheap, well-mixed open-addressing probe. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
 template <typename L, typename E>
 std::size_t
 insertSorted(L &v, const E &el)
@@ -57,109 +47,6 @@ firstAbove(const L &v, const E &el)
 
 } // namespace
 
-// -- StampedMap -------------------------------------------------------
-
-std::int32_t &
-StreamingChecker::StampedMap::findOrInsert(std::uint64_t key)
-{
-    if (slots_.empty() || (live_ + tombs_ + 1) * 4 > slots_.size() * 3)
-        rehash();
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = static_cast<std::size_t>(mix64(key)) & mask;
-    std::size_t firstTomb = slots_.size();
-    while (true) {
-        Slot &s = slots_[i];
-        if (s.gen != gen_) {
-            // End of the probe chain: insert, preferring the first
-            // tombstone passed on the way (keeps chains short).
-            if (firstTomb != slots_.size()) {
-                Slot &t = slots_[firstTomb];
-                t.key = key;
-                t.val = -1;
-                --tombs_;
-                ++live_;
-                return t.val;
-            }
-            s.gen = gen_;
-            s.key = key;
-            s.val = -1;
-            ++live_;
-            return s.val;
-        }
-        if (s.val == kTomb) {
-            if (firstTomb == slots_.size())
-                firstTomb = i;
-        } else if (s.key == key) {
-            return s.val;
-        }
-        i = (i + 1) & mask;
-    }
-}
-
-std::int32_t
-StreamingChecker::StampedMap::find(std::uint64_t key) const
-{
-    if (slots_.empty())
-        return -1;
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = static_cast<std::size_t>(mix64(key)) & mask;
-    while (true) {
-        const Slot &s = slots_[i];
-        if (s.gen != gen_)
-            return -1;
-        if (s.key == key && s.val != kTomb)
-            return s.val;
-        i = (i + 1) & mask;
-    }
-}
-
-void
-StreamingChecker::StampedMap::erase(std::uint64_t key)
-{
-    if (slots_.empty())
-        return;
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = static_cast<std::size_t>(mix64(key)) & mask;
-    while (true) {
-        Slot &s = slots_[i];
-        if (s.gen != gen_)
-            return;
-        if (s.key == key && s.val != kTomb) {
-            s.val = kTomb;
-            --live_;
-            ++tombs_;
-            return;
-        }
-        i = (i + 1) & mask;
-    }
-}
-
-void
-StreamingChecker::StampedMap::rehash()
-{
-    // Swap through the retained scratch buffer: a same-size rebuild
-    // (tombstone purge, the steady state of a bounded-window stream)
-    // allocates nothing.
-    std::swap(slots_, scratch_);
-    const std::size_t newSize =
-        (scratch_.empty() || (live_ + 1) * 4 > scratch_.size() * 3)
-            ? std::max<std::size_t>(1024, scratch_.size() * 2)
-            : scratch_.size();
-    slots_.assign(newSize, Slot{});
-    live_ = 0;
-    tombs_ = 0;
-    const std::size_t mask = newSize - 1;
-    for (const Slot &s : scratch_) {
-        if (s.gen != gen_ || s.val == kTomb)
-            continue;
-        std::size_t i = static_cast<std::size_t>(mix64(s.key)) & mask;
-        while (slots_[i].gen == gen_)
-            i = (i + 1) & mask;
-        slots_[i] = s;
-        ++live_;
-    }
-}
-
 // -- lifecycle --------------------------------------------------------
 
 StreamingChecker::StreamingChecker(ModelProfile profile)
@@ -195,15 +82,13 @@ StreamingChecker::begin()
 {
     uniproc_.reset();
     ghb_.reset();
-    nodes_.clear();
-    valueMap_.clear();
-    valueInfoCount_ = 0;
+    values_.clear();
+    topValue_ = ValueInfo{};
     initNode_.clear();
     for (const Pid pid : touchedPids_)
         threads_[static_cast<std::size_t>(pid)].clear();
     touchedPids_.clear();
     chainCount_ = 0;
-    valueFree_.clear();
     ageFifo_.clear();
     ageHead_ = 0;
     retireScratch_.clear();
@@ -221,23 +106,40 @@ StreamingChecker::begin()
 // -- node space -------------------------------------------------------
 
 StreamingChecker::Node
-StreamingChecker::newNode(EventId ev, Pid pid, Addr aux, std::int32_t poi,
-                          std::uint8_t slot, AddrId aid)
+StreamingChecker::newNode(EventId ev, Pid pid, Addr aux, WriteVal value,
+                          std::int32_t poi, std::uint8_t slot, AddrId aid,
+                          std::uint8_t flags)
 {
-    const Node n = uniproc_.addNode();
-    const Node g = ghb_.addNode();
+    const bool init = pid == kInitPid;
+    const Node n = init ? uniproc_.addSource() : uniproc_.addNode();
+    const Node g = init ? ghb_.addSource() : ghb_.addNode();
     assert(n == g && "graphs share one node space");
     (void)g;
-    const NodeMeta meta{ev,      pid,     aux,     kInitVal, kNoNode,
-                        kNoNode, kNoNode, kNoNode, kNoNode,  kNoNode,
-                        kNoNode, kNoNode, kNoNode, poi,      aid,
-                        slot,    kPairDone};
     // Node ids recycle in bounded-window mode, so the meta array is
-    // slot-indexed rather than append-only.
-    if (static_cast<std::size_t>(n) < nodes_.size())
-        nodes_[static_cast<std::size_t>(n)] = meta;
-    else
-        nodes_.push_back(meta);
+    // slot-indexed rather than append-only. The fields are stored one
+    // by one: building a NodeMeta on the stack and copying it stalls
+    // the copy's wide loads on the narrow stores that built it.
+    const auto un = static_cast<std::size_t>(n);
+    if (un >= nodes_.size())
+        nodes_.resize(un + 1);
+    NodeMeta &m = nodes_[un];
+    m.event = ev;
+    m.pid = pid;
+    m.aux = aux;
+    m.value = value;
+    m.rfSrc = kNoNode;
+    m.coPred = kNoNode;
+    m.coSucc = kNoNode;
+    m.readersHead = kNoNode;
+    m.readerNext = kNoNode;
+    m.pendingReadNext = kNoNode;
+    m.pendingCoNext = kNoNode;
+    m.pairRead = kNoNode;
+    m.pairWrite = kNoNode;
+    m.poi = poi;
+    m.aid = aid;
+    m.slot = slot;
+    m.flags = flags;
     if (window_ != 0)
         ageFifo_.push_back(n);
     return n;
@@ -252,7 +154,7 @@ StreamingChecker::initNodeOf(AddrId aid, Addr addr)
     Node &n = initNode_[a];
     assert(n != kRetiredNode && "callers guard the retired-init case");
     if (n == kNoNode)
-        n = newNode(kNoEvent, kInitPid, addr, -1, 2, aid);
+        n = newNode(kNoEvent, kInitPid, addr, kInitVal, -1, 2, aid, kPairDone);
     return n;
 }
 
@@ -297,16 +199,12 @@ StreamingChecker::ingest(const ExecWitness &ew, EventId id,
     // The witness interned the address at record time; reuse its
     // dense id instead of probing a second map.
     const AddrId aid = ew.addrId(id);
-    const Node n = newNode(
-        id, pid, kNoAddr, e.iiid.poi,
-        static_cast<std::uint8_t>(e.isRead() ? 1 : 2), aid);
-    if (e.rmw)
-        nodes_[static_cast<std::size_t>(n)].flags &=
-            static_cast<std::uint8_t>(~kPairDone);
-    if (!e.isRead())
-        nodes_[static_cast<std::size_t>(n)].value = e.value;
-    const Elem el{e.iiid.poi,
-                  static_cast<std::uint8_t>(e.isRead() ? 1 : 2), n};
+    const auto slot = static_cast<std::uint8_t>(e.isRead() ? 1 : 2);
+    // An RMW half waits for its pair check; every other event is done.
+    const Node n = newNode(id, pid, kNoAddr,
+                           e.isRead() ? kInitVal : e.value, e.iiid.poi,
+                           slot, aid, e.rmw ? std::uint8_t{0} : kPairDone);
+    const Elem el{e.iiid.poi, slot, n};
     ThreadState &t = threadOf(pid);
     if (window_ != 0 && e.iiid.poi <= t.maxRetiredPoi) {
         // Straggler behind the retirement frontier: orderings through
@@ -318,8 +216,8 @@ StreamingChecker::ingest(const ExecWitness &ew, EventId id,
     if (e.isRead()) {
         if (e.rmw && full_) {
             insertFence(t, Elem{e.iiid.poi, 0,
-                                newNode(kNoEvent, pid, kNoAddr,
-                                        e.iiid.poi, 0, aid)});
+                                newNode(kNoEvent, pid, kNoAddr, kInitVal,
+                                        e.iiid.poi, 0, aid, kPairDone)});
         }
         insertRead(t, el, e.rmw);
         resolveRead(n, e.value, aid, e.addr);
@@ -327,8 +225,8 @@ StreamingChecker::ingest(const ExecWitness &ew, EventId id,
         insertWrite(t, el, e.rmw);
         if (e.rmw && full_) {
             insertFence(t, Elem{e.iiid.poi, 3,
-                                newNode(kNoEvent, pid, kNoAddr,
-                                        e.iiid.poi, 3, aid)});
+                                newNode(kNoEvent, pid, kNoAddr, kInitVal,
+                                        e.iiid.poi, 3, aid, kPairDone)});
         }
         registerWrite(n, e.value, overwritten, aid, e.addr);
     }
@@ -583,27 +481,6 @@ StreamingChecker::insertFence(ThreadState &t, Elem el)
 
 // -- online conflict orders -------------------------------------------
 
-std::int32_t
-StreamingChecker::valueInfoIdx(WriteVal v)
-{
-    std::int32_t &slot = valueMap_.findOrInsert(v);
-    if (slot < 0) {
-        if (!valueFree_.empty()) {
-            slot = valueFree_.back();
-            valueFree_.pop_back();
-            valueInfo_[static_cast<std::size_t>(slot)] = ValueInfo{};
-        } else {
-            slot = static_cast<std::int32_t>(valueInfoCount_);
-            if (valueInfoCount_ < valueInfo_.size())
-                valueInfo_[valueInfoCount_] = ValueInfo{};
-            else
-                valueInfo_.emplace_back();
-            ++valueInfoCount_;
-        }
-    }
-    return slot;
-}
-
 void
 StreamingChecker::resolveRead(Node r, WriteVal v, AddrId aid, Addr addr)
 {
@@ -620,14 +497,14 @@ StreamingChecker::resolveRead(Node r, WriteVal v, AddrId aid, Addr addr)
         bindRf(r, initNodeOf(aid, addr));
         return;
     }
-    const auto vi = static_cast<std::size_t>(valueInfoIdx(v));
-    if (valueInfo_[vi].writer != kNoNode) {
-        bindRf(r, valueInfo_[vi].writer);
+    ValueInfo &vi = valueInfo(v);
+    if (vi.writer != kNoNode) {
+        bindRf(r, vi.writer);
     } else {
         // Store forwarding: the producing write has not serialized yet.
         nodes_[static_cast<std::size_t>(r)].pendingReadNext =
-            valueInfo_[vi].pendingReadsHead;
-        valueInfo_[vi].pendingReadsHead = r;
+            vi.pendingReadsHead;
+        vi.pendingReadsHead = r;
         ++pending_;
     }
 }
@@ -649,13 +526,13 @@ StreamingChecker::registerWrite(Node w, WriteVal v, WriteVal overwritten,
             bindCo(initNodeOf(aid, addr), w);
         }
     } else {
-        const auto oi = static_cast<std::size_t>(valueInfoIdx(overwritten));
-        if (valueInfo_[oi].writer != kNoNode) {
-            bindCo(valueInfo_[oi].writer, w);
+        ValueInfo &oi = valueInfo(overwritten);
+        if (oi.writer != kNoNode) {
+            bindCo(oi.writer, w);
         } else {
             nodes_[static_cast<std::size_t>(w)].pendingCoNext =
-                valueInfo_[oi].pendingCoHead;
-            valueInfo_[oi].pendingCoHead = w;
+                oi.pendingCoHead;
+            oi.pendingCoHead = w;
             ++pending_;
         }
     }
@@ -663,15 +540,19 @@ StreamingChecker::registerWrite(Node w, WriteVal v, WriteVal overwritten,
     // (those resolve to the init event), so they publish nothing.
     if (v == kInitVal)
         return;
-    const auto vi = static_cast<std::size_t>(valueInfoIdx(v));
-    if (valueInfo_[vi].writer != kNoNode) {
+    ValueInfo &vi = valueInfo(v);
+    if (vi.writer != kNoNode) {
         // Duplicate write value: post-hoc resolution picks the smallest
         // event id, which is the first-registered node here.
         return;
     }
-    valueInfo_[vi].writer = w;
-    Node r = valueInfo_[vi].pendingReadsHead;
-    valueInfo_[vi].pendingReadsHead = kNoNode;
+    vi.writer = w;
+    // Detach both pending lists up front: binding touches only node
+    // records, but the entry itself is not needed again.
+    Node r = vi.pendingReadsHead;
+    Node c = vi.pendingCoHead;
+    vi.pendingReadsHead = kNoNode;
+    vi.pendingCoHead = kNoNode;
     while (r != kNoNode) {
         const Node next =
             nodes_[static_cast<std::size_t>(r)].pendingReadNext;
@@ -679,8 +560,6 @@ StreamingChecker::registerWrite(Node w, WriteVal v, WriteVal overwritten,
         bindRf(r, w);
         r = next;
     }
-    Node c = valueInfo_[vi].pendingCoHead;
-    valueInfo_[vi].pendingCoHead = kNoNode;
     while (c != kNoNode) {
         const Node next =
             nodes_[static_cast<std::size_t>(c)].pendingCoNext;
@@ -878,14 +757,13 @@ StreamingChecker::retireNow(Node n)
     if (m.slot == 2) {
         // Erase the value binding (only if this write published it:
         // duplicate values keep the first registration).
-        if (m.value != kInitVal) {
-            const std::int32_t vslot = valueMap_.find(m.value);
-            if (vslot >= 0 &&
-                valueInfo_[static_cast<std::size_t>(vslot)].writer == n) {
-                valueMap_.erase(m.value);
-                valueInfo_[static_cast<std::size_t>(vslot)] = ValueInfo{};
-                valueFree_.push_back(vslot);
-            }
+        if (m.value == kNoAddr) {
+            if (topValue_.writer == n)
+                topValue_ = ValueInfo{};
+        } else if (m.value != kInitVal) {
+            const ValueInfo *vi = values_.find(m.value);
+            if (vi != nullptr && vi->writer == n)
+                values_.erase(m.value);
         }
         // Unblock the co successor (live by construction) and cascade.
         NodeMeta &s = nodes_[static_cast<std::size_t>(m.coSucc)];
@@ -996,12 +874,13 @@ StreamingChecker::compactNow()
         for (Elem *e = chains_[i].begin(); e != chains_[i].end(); ++e)
             remap(e->node);
     }
-    for (std::size_t i = 0; i < valueInfoCount_; ++i) {
-        ValueInfo &v = valueInfo_[i];
+    const auto remapValue = [&remap](ValueInfo &v) {
         remap(v.writer);
         remap(v.pendingReadsHead);
         remap(v.pendingCoHead);
-    }
+    };
+    values_.forEach([&remapValue](Addr, ValueInfo &v) { remapValue(v); });
+    remapValue(topValue_);
     for (std::size_t i = ageHead_; i < ageFifo_.size(); ++i)
         remap(ageFifo_[i]);
 }

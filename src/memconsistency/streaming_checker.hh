@@ -42,8 +42,9 @@
  * streaming-native verdict for stopped-early (un-finalizable) witness
  * prefixes.
  *
- * All state is capacity-preserving and generation-stamped: begin() is
- * O(touched state) and steady-state iterations allocate nothing.
+ * All state is capacity-preserving: begin() costs O(touched state)
+ * plus a sweep of the value table's slots, and steady-state iterations
+ * allocate nothing.
  *
  * Bounded-window mode (setWindow(W), W > 0) additionally keeps memory
  * O(live set) instead of O(trace): once an event is older than the
@@ -74,6 +75,7 @@
 #include <exception>
 #include <vector>
 
+#include "common/addr_table.hh"
 #include "memconsistency/checker.hh"
 #include "memconsistency/execwitness.hh"
 #include "memconsistency/incremental.hh"
@@ -228,51 +230,6 @@ class StreamingChecker final : public WitnessEventSink
     {
     };
 
-    /**
-     * Open-addressing u64 -> int32 map with O(1) generation-stamped
-     * clear and tombstoned erase; capacity only ever grows (rehashes
-     * swap through a retained scratch buffer, so the steady state
-     * allocates nothing). Values are dense indices the caller assigns
-     * (fresh entries start at -1; -2 is reserved for tombstones).
-     */
-    class StampedMap
-    {
-      public:
-        void
-        clear()
-        {
-            if (++gen_ == 0) {
-                // Stamp wraparound (once per 2^32 streams): stale
-                // slots could alias the restarted counter, so drop
-                // them wholesale (capacity is kept).
-                slots_.clear();
-                gen_ = 1;
-            }
-            live_ = 0;
-            tombs_ = 0;
-        }
-        std::int32_t &findOrInsert(std::uint64_t key);
-        /** Value of @p key, or -1 when absent. */
-        std::int32_t find(std::uint64_t key) const;
-        /** Drop @p key (tombstoned; reclaimed at the next rehash). */
-        void erase(std::uint64_t key);
-
-      private:
-        static constexpr std::int32_t kTomb = -2;
-        struct Slot
-        {
-            std::uint64_t key = 0;
-            std::uint32_t gen = 0;
-            std::int32_t val = -1;
-        };
-        void rehash();
-        std::vector<Slot> slots_;
-        std::vector<Slot> scratch_;
-        std::size_t live_ = 0;
-        std::size_t tombs_ = 0;
-        std::uint32_t gen_ = 1;
-    };
-
     /** Per-thread po element: total order (poi, slot, node). */
     struct Elem
     {
@@ -405,8 +362,14 @@ class StreamingChecker final : public WitnessEventSink
     };
 
     // -- node space (shared by both graphs) ---------------------------
-    Node newNode(EventId ev, Pid pid, Addr aux, std::int32_t poi,
-                 std::uint8_t slot, AddrId aid);
+    /**
+     * Add a node to both graphs and fill its NodeMeta slot in place.
+     * Init nodes (pid kInitPid) only ever gain out-edges, so they join
+     * at the front of the order as sources and never force a reorder.
+     */
+    Node newNode(EventId ev, Pid pid, Addr aux, WriteVal value,
+                 std::int32_t poi, std::uint8_t slot, AddrId aid,
+                 std::uint8_t flags);
     Node initNodeOf(AddrId aid, Addr addr);
 
     // -- bounded-window retirement ------------------------------------
@@ -432,7 +395,15 @@ class StreamingChecker final : public WitnessEventSink
     ThreadState &threadOf(Pid pid);
 
     // -- online conflict orders ---------------------------------------
-    std::int32_t valueInfoIdx(WriteVal v);
+    /**
+     * @p v's entry, inserted empty if absent. No reference may be held
+     * across another insert into or erase from the value table.
+     */
+    ValueInfo &
+    valueInfo(WriteVal v)
+    {
+        return v == kNoAddr ? topValue_ : values_[v];
+    }
     void resolveRead(Node r, WriteVal v, AddrId aid, Addr addr);
     void registerWrite(Node w, WriteVal v, WriteVal overwritten,
                        AddrId aid, Addr addr);
@@ -460,16 +431,19 @@ class StreamingChecker final : public WitnessEventSink
     IncrementalGraph uniproc_;
     IncrementalGraph ghb_;
 
-    // Node metadata, appended by newNode().
+    /**
+     * Node metadata, indexed by node slot and filled by newNode(). It
+     * only grows: begin() keeps the slots, and newNode() overwrites
+     * every field of the slot it hands out.
+     */
     std::vector<NodeMeta> nodes_;
 
     // Value resolution. Addresses need no map of their own: the
     // witness already interns them to dense AddrIds at record time.
-    StampedMap valueMap_;
-    std::vector<ValueInfo> valueInfo_;
-    std::size_t valueInfoCount_ = 0;
-    /** ValueInfo slots freed by write retirement. */
-    std::vector<std::int32_t> valueFree_;
+    /** Written value -> its writer and pending accesses. */
+    AddrTable<ValueInfo> values_;
+    /** Entry for the value kNoAddr, the table's empty key. */
+    ValueInfo topValue_;
     /** Init node per witness AddrId (kRetiredNode once retired). */
     std::vector<Node> initNode_;
 

@@ -50,6 +50,24 @@ operator new[](std::size_t size)
     return ::operator new(size);
 }
 
+// The nothrow forms are replaced too, so that every new and delete of a
+// block goes through this file's malloc/free pair. std::stable_sort
+// takes its temporary buffer from the nothrow new; left to the
+// sanitizer runtime, that block would come back through the sized
+// delete below and ASan would abort with alloc-dealloc-mismatch.
+[[gnu::noinline]] void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size ? size : 1);
+}
+
+[[gnu::noinline]] void *
+operator new[](std::size_t size, const std::nothrow_t &tag) noexcept
+{
+    return ::operator new(size, tag);
+}
+
 [[gnu::noinline]] void
 operator delete(void *p) noexcept
 {
@@ -70,6 +88,18 @@ operator delete(void *p, std::size_t) noexcept
 
 [[gnu::noinline]] void
 operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete[](void *p, const std::nothrow_t &) noexcept
 {
     std::free(p);
 }

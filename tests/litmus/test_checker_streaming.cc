@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -272,6 +273,204 @@ TEST(CheckerStreaming, WindowedFullRingParityAllModels)
             EXPECT_EQ(got.message, want.message) << label;
             EXPECT_EQ(got.cycle, want.cycle) << label;
         }
+    }
+}
+
+namespace {
+
+/**
+ * Init-heavy random witness: three accesses in four go to a word no
+ * earlier event touched, so nearly every address is first touched by a
+ * read of init or by a write that overwrites init, and the streaming
+ * checker creates an init node per address. Some writes are
+ * store-forwarded (the same thread's younger read of the value is
+ * recorded first), and some accesses are RMWs, on fresh words too.
+ * With @p corrupt, writes may claim to overwrite init on a word that
+ * was already written (a co fork on init) and reads may return a stale
+ * value of their word.
+ */
+mc::ExecWitness
+initHeavyWitness(Rng &rng, int threads, int ops, bool corrupt)
+{
+    mc::ExecWitness ew;
+    std::vector<std::vector<WriteVal>> history; // Values per word.
+    std::vector<std::int32_t> poi(static_cast<std::size_t>(threads), 0);
+    WriteVal next = 1;
+    for (int i = 0; i < ops; ++i) {
+        const auto pid = static_cast<Pid>(
+            rng.below(static_cast<std::uint64_t>(threads)));
+        std::int32_t &p = poi[static_cast<std::size_t>(pid)];
+        std::size_t ai = history.size();
+        if (history.empty() || rng.below(4) != 0) {
+            history.push_back({kInitVal});
+        } else {
+            ai -= 1 + rng.below(std::min<std::size_t>(history.size(), 4));
+        }
+        std::vector<WriteVal> &h = history[ai];
+        const Addr addr = 0x4000 + 8 * static_cast<Addr>(ai);
+        const auto read_val = [&]() {
+            if (corrupt && rng.below(10) == 0)
+                return h[rng.below(h.size())];
+            return h.back();
+        };
+        const auto overwritten_val = [&]() {
+            if (corrupt && rng.below(10) == 0)
+                return kInitVal;
+            return h.back();
+        };
+        const std::uint64_t roll = rng.below(20);
+        if (roll < 7) {
+            ew.recordRead(pid, p++, addr, read_val());
+        } else if (roll < 12) {
+            const WriteVal v = next++;
+            ew.recordWrite(pid, p++, addr, v, overwritten_val());
+            h.push_back(v);
+        } else if (roll < 16) {
+            // Store forwarding: the read at poi + 1 returns the write's
+            // value before the write (poi) serializes.
+            const WriteVal v = next++;
+            ew.recordRead(pid, p + 1, addr, v);
+            ew.recordWrite(pid, p, addr, v, overwritten_val());
+            h.push_back(v);
+            p += 2;
+        } else {
+            const WriteVal v = next++;
+            ew.recordRead(pid, p, addr, read_val(), /*rmw=*/true);
+            ew.recordWrite(pid, p, addr, v, overwritten_val(),
+                           /*rmw=*/true);
+            h.push_back(v);
+            ++p;
+        }
+    }
+    return ew;
+}
+
+/**
+ * Unbounded parity (expectStreamingParity), then the same stream
+ * recorded into a ring that keeps all of it while the checker retires
+ * behind a window that is either the whole stream or a handful of
+ * events: checkStreamed() must match post-hoc checking byte for byte
+ * either way.
+ */
+void
+expectInitHeavyParity(mc::ExecWitness &ew, const std::string &model,
+                      const std::string &label)
+{
+    const mc::Checker checker(mc::makeModel(model));
+    mc::StreamingChecker sc(mc::modelProfile(model));
+    expectStreamingParity(ew, checker, sc, label + " unbounded");
+    const mc::CheckResult want = checker.check(ew);
+
+    const std::size_t ring = ew.numEvents() + 64;
+    for (const std::size_t window : {ring, std::size_t{8}}) {
+        mc::ExecWitness rw;
+        rw.setWindow(ring);
+        mc::StreamingChecker wsc(mc::modelProfile(model));
+        wsc.setWindow(window);
+        rw.setEventSink(&wsc);
+        wsc.begin();
+        rerecordInto(ew, rw);
+        rw.setEventSink(nullptr);
+        ASSERT_EQ(rw.droppedEvents(), 0u);
+        const mc::CheckResult got = checker.checkStreamed(rw, wsc);
+        const std::string wl = label + " window " + std::to_string(window);
+        EXPECT_EQ(got.kind, want.kind) << wl;
+        EXPECT_EQ(got.message, want.message) << wl;
+        EXPECT_EQ(got.cycle, want.cycle) << wl;
+    }
+}
+
+} // namespace
+
+TEST(CheckerStreaming, InitHeavyWitnessesAllModels)
+{
+    Rng rng(0x57e405);
+    int clean = 0;
+    int violations = 0;
+    for (int i = 0; i < 40; ++i) {
+        const bool corrupt = (i % 2) == 1;
+        const int threads = 2 + static_cast<int>(rng.below(3));
+        const int ops = 30 + static_cast<int>(rng.below(90));
+        mc::ExecWitness ew = initHeavyWitness(rng, threads, ops, corrupt);
+        for (const std::string &model : mc::modelNames()) {
+            mc::ExecWitness copy = ew;
+            expectInitHeavyParity(copy, model,
+                                  std::string(corrupt ? "corrupt" : "clean") +
+                                      " #" + std::to_string(i) + " [" +
+                                      model + "]");
+            const mc::Checker checker(mc::makeModel(model));
+            (checker.check(copy).ok() ? clean : violations) += 1;
+        }
+        // Most words really are first touched by a read of init or a
+        // write that overwrites it.
+        EXPECT_GT(ew.numAddrs() * 2, static_cast<std::size_t>(ops));
+    }
+    // Both halves must be exercised, or the parity proves little.
+    EXPECT_GT(clean, 50);
+    EXPECT_GT(violations, 50);
+}
+
+TEST(CheckerStreaming, CoForkOnInitNamesTheInitEvent)
+{
+    // Two writes both claim to overwrite the initial value of a word:
+    // the streamed verdict, post-hoc checking and the early-stop
+    // rendering all name the init event.
+    constexpr Addr kX = 0x100;
+    for (const std::string &model : mc::modelNames()) {
+        mc::ExecWitness ew;
+        ew.recordRead(0, 0, kX, kInitVal);
+        ew.recordWrite(0, 1, kX, 1, kInitVal);
+        ew.recordWrite(1, 0, kX, 2, kInitVal);
+
+        mc::StreamingChecker sc(mc::modelProfile(model));
+        sc.replayRecorded(ew);
+        ASSERT_TRUE(sc.violationDetected()) << model;
+        EXPECT_EQ(sc.violationKind(), mc::CheckResult::Kind::WitnessAnomaly)
+            << model;
+        EXPECT_EQ(sc.eventsUntilDetection(), 3u) << model;
+        EXPECT_EQ(sc.earlyStopResult(ew).message,
+                  "co fork: P1:0 W 0x100 v=2 and P0:1 W 0x100 v=1 both "
+                  "overwrite Init W 0x100 v=0")
+            << model;
+
+        expectInitHeavyParity(ew, model, "fork on init [" + model + "]");
+        EXPECT_EQ(mc::Checker(mc::makeModel(model)).check(ew).message,
+                  "co fork: P1:0 W 0x100 v=2 and P0:1 W 0x100 v=1 both "
+                  "overwrite Init W 0x100 v=0")
+            << model;
+    }
+}
+
+TEST(CheckerStreaming, WriteOfTheValueTableEmptyKeyResolves)
+{
+    // kNoAddr is the value table's empty key. A write of that value
+    // must still bind its readers (one of them store-forwarded ahead of
+    // it) and its co successor; a stale read of it afterwards closes a
+    // coherence cycle, streamed as post-hoc.
+    constexpr Addr kX = 0x100;
+    constexpr WriteVal kTop = kNoAddr;
+    for (const std::string &model : mc::modelNames()) {
+        mc::ExecWitness clean;
+        clean.recordRead(1, 0, kX, kTop);
+        clean.recordWrite(0, 0, kX, kTop, kInitVal);
+        clean.recordWrite(0, 1, kX, 7, kTop);
+        clean.recordRead(1, 1, kX, 7);
+        expectInitHeavyParity(clean, model, "top value [" + model + "]");
+        EXPECT_TRUE(mc::Checker(mc::makeModel(model)).check(clean).ok())
+            << model;
+
+        mc::ExecWitness stale;
+        stale.recordWrite(0, 0, kX, kTop, kInitVal);
+        stale.recordWrite(0, 1, kX, 7, kTop);
+        stale.recordRead(1, 0, kX, 7);
+        stale.recordRead(1, 1, kX, kTop);
+        mc::StreamingChecker sc(mc::modelProfile(model));
+        sc.replayRecorded(stale);
+        EXPECT_EQ(sc.violationKind(),
+                  mc::CheckResult::Kind::UniprocViolation)
+            << model;
+        expectInitHeavyParity(stale, model,
+                              "stale top value [" + model + "]");
     }
 }
 

@@ -3,13 +3,16 @@
  * Unit tests for the candidate execution object.
  *
  * This binary replaces global operator new/delete with the counting
- * wrappers of tests/counting_new.hh for the ExecWitnessZeroAlloc test.
+ * wrappers of tests/counting_new.hh for the ExecWitnessZeroAlloc test,
+ * and checks those wrappers themselves (CountingNew).
  */
 
 #include <algorithm>
 #include <deque>
 #include <map>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -457,6 +460,119 @@ TEST(ExecWitness, ReverseProgramOrderIsKeptSorted)
                                ew.threadEvents(1).end()));
     ew.finalize();
     EXPECT_EQ(ew.threadEvents(0), expected);
+}
+
+TEST(ExecWitness, ValueIndexResolvesDuplicatesToTheFirstWriter)
+{
+    // Write values are unique in real executions; when they are not,
+    // rf and co resolve to the writer recorded first.
+    ExecWitness ew;
+    const EventId w1 = ew.recordWrite(0, 0, 0x100, 5, kInitVal);
+    const EventId w2 = ew.recordWrite(1, 0, 0x200, 5, kInitVal);
+    const EventId r = ew.recordRead(2, 0, 0x100, 5);
+    const EventId w3 = ew.recordWrite(2, 1, 0x100, 6, 5);
+    ew.finalize();
+    EXPECT_EQ(ew.rfSource(r), w1);
+    EXPECT_EQ(ew.coPredecessor(w3), w1);
+    EXPECT_EQ(ew.coSuccessor(w1), w3);
+    EXPECT_EQ(ew.coSuccessor(w2), kNoEvent);
+}
+
+TEST(ExecWitness, ValueIndexResolvesTheTableEmptyKey)
+{
+    // kNoAddr is the value index's empty key; a write of that value
+    // must still resolve its readers and its co successor.
+    constexpr WriteVal kTop = kNoAddr;
+    ExecWitness ew;
+    const EventId w = ew.recordWrite(0, 0, 0x100, kTop, kInitVal);
+    const EventId dup = ew.recordWrite(1, 0, 0x100, kTop, kTop);
+    const EventId r = ew.recordRead(1, 1, 0x100, kTop);
+    ew.finalize();
+    EXPECT_EQ(ew.anomaly(), WitnessAnomaly::None) << ew.anomalyInfo();
+    EXPECT_EQ(ew.rfSource(r), w);
+    EXPECT_EQ(ew.coPredecessor(dup), w);
+
+    // Unwritten, it is an unknown value like any other.
+    ExecWitness unknown;
+    unknown.recordWrite(0, 0, 0x100, 1, kInitVal);
+    unknown.recordRead(1, 0, 0x100, kTop);
+    unknown.finalize();
+    EXPECT_EQ(unknown.anomaly(), WitnessAnomaly::UnknownValue);
+    EXPECT_NE(unknown.anomalyInfo().find("read of unknown value"),
+              std::string::npos);
+}
+
+TEST(ExecWitness, ValueIndexMatchesAFirstWriterReferenceOnRandomValues)
+{
+    // Random writes over a small value range (so values repeat, and
+    // kNoAddr is among them) and reads of values drawn from a wider
+    // range (so some were never written). Every read must resolve to
+    // the first writer of its value, and the first read of an unwritten
+    // value must be the one flagged.
+    Rng rng(0x7a1de5);
+    ExecWitness ew;
+    for (int round = 0; round < 20; ++round) {
+        SCOPED_TRACE(round);
+        const auto pick = [&rng](std::uint64_t range) {
+            const std::uint64_t v = rng.below(range);
+            return v == 0 ? kNoAddr : static_cast<WriteVal>(v);
+        };
+        ew.reset();
+        std::map<WriteVal, EventId> first;
+        std::vector<std::pair<EventId, WriteVal>> reads;
+        for (std::int32_t poi = 0; poi < 200; ++poi) {
+            const Addr addr = 0x1000 + rng.below(16) * 8;
+            if (rng.below(2) == 0) {
+                const WriteVal v = pick(64);
+                const EventId id = ew.recordWrite(0, poi, addr, v, kInitVal);
+                first.emplace(v, id);
+            } else {
+                const WriteVal v = pick(96);
+                reads.emplace_back(ew.recordRead(1, poi, addr, v), v);
+            }
+        }
+        ew.finalize();
+        // Every write claims to overwrite init, so co forks abound; the
+        // first anomaly is an unknown read whenever one precedes them.
+        EventId firstUnknown = kNoEvent;
+        for (const auto &[r, v] : reads) {
+            const auto it = first.find(v);
+            EXPECT_EQ(ew.rfSource(r), it == first.end() ? kNoEvent
+                                                        : it->second)
+                << "read " << r << " of " << v;
+            if (it == first.end() && firstUnknown == kNoEvent)
+                firstUnknown = r;
+        }
+        if (firstUnknown != kNoEvent) {
+            EXPECT_EQ(ew.anomaly(), WitnessAnomaly::UnknownValue);
+            EXPECT_EQ(ew.anomalyInfo(),
+                      "read of unknown value: " +
+                          ew.event(firstUnknown).toString());
+        }
+    }
+}
+
+TEST(CountingNew, StableSortPairsItsNothrowNewWithItsDelete)
+{
+    // std::stable_sort allocates its temporary buffer with the nothrow
+    // operator new. This binary replaces that overload too, so the
+    // buffer is counted and returned through the matching free; under
+    // ASan an unreplaced nothrow new aborted here with
+    // alloc-dealloc-mismatch.
+    std::vector<std::pair<int, int>> v;
+    for (int i = 0; i < 4096; ++i)
+        v.emplace_back((4096 - i) % 17, i);
+    const std::uint64_t before = g_allocs.load();
+    std::stable_sort(v.begin(), v.end(), [](const auto &a, const auto &b) {
+        return a.first < b.first;
+    });
+    EXPECT_GT(g_allocs.load(), before);
+    for (std::size_t i = 1; i < v.size(); ++i) {
+        ASSERT_LE(v[i - 1].first, v[i].first);
+        if (v[i - 1].first == v[i].first) {
+            ASSERT_LT(v[i - 1].second, v[i].second) << "not stable";
+        }
+    }
 }
 
 TEST(ExecWitnessZeroAlloc, WarmResetRecordFinalizeAllocatesNothing)

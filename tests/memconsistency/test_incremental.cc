@@ -357,3 +357,109 @@ TEST(IncrementalGraphRetire, DifferentialAgainstFullGraphReachability)
         ASSERT_EQ(inc.numLive(), live.size());
     }
 }
+
+TEST(IncrementalGraphSources, SourceEdgesNeverReorder)
+{
+    // Sources join at the front of the order, so an edge out of one is
+    // in-order wherever its target sits: interleave sources with
+    // ordinary nodes, wire each source to every earlier node, and no
+    // insertion may take the reorder path.
+    IncrementalGraph g;
+    std::vector<Node> plain;
+    std::vector<Node> sources;
+    for (int i = 0; i < 32; ++i) {
+        plain.push_back(g.addNode());
+        const Node s = g.addSource();
+        sources.push_back(s);
+        for (const Node n : plain)
+            EXPECT_TRUE(g.addEdge(s, n));
+        if (plain.size() > 1) {
+            EXPECT_TRUE(g.addEdge(plain[plain.size() - 2], plain.back()));
+        }
+    }
+    EXPECT_EQ(g.reorders(), 0u);
+    for (const Node s : sources) {
+        for (const Node n : plain)
+            EXPECT_LT(g.ord(s), g.ord(n));
+    }
+
+    // A node added after a source, with an edge against the order, is
+    // the reorder path's case: the counter does see it.
+    const Node a = g.addNode();
+    const Node b = g.addNode();
+    EXPECT_TRUE(g.addEdge(b, a));
+    EXPECT_EQ(g.reorders(), 1u);
+    EXPECT_FALSE(g.hasCycle());
+}
+
+TEST(IncrementalGraphSources, SourcesStayFirstAcrossRetireAndCompact)
+{
+    // Build an interleaving of sources and a backward-wired chain (so
+    // the chain's order is repaired by reorders), retire every other
+    // chain node, compact, and keep going: sources must stay ahead of
+    // every ordinary node, and edges out of new sources must still
+    // never reorder.
+    IncrementalGraph g;
+    std::vector<Node> chain;
+    std::vector<Node> sources;
+    for (int i = 0; i < 16; ++i) {
+        sources.push_back(g.addSource());
+        chain.push_back(g.addNode());
+        if (i > 0) {
+            EXPECT_TRUE(g.addEdge(chain[static_cast<std::size_t>(i)],
+                                  chain[static_cast<std::size_t>(i - 1)]));
+        }
+        EXPECT_TRUE(g.addEdge(sources.back(), chain.back()));
+    }
+    const std::uint64_t chainReorders = g.reorders();
+    EXPECT_GT(chainReorders, 0u);
+
+    std::vector<bool> live(g.numNodes(), true);
+    for (std::size_t i = 1; i < chain.size(); i += 2) {
+        g.retireNode(chain[i]);
+        live[static_cast<std::size_t>(chain[i])] = false;
+    }
+    std::vector<Node> remap(g.numNodes(), -1);
+    Node next = 0;
+    for (std::size_t i = 0; i < live.size(); ++i) {
+        if (live[i])
+            remap[i] = next++;
+    }
+    g.compact(remap, next);
+
+    const auto renamed = [&remap](const std::vector<Node> &v) {
+        std::vector<Node> out;
+        for (const Node n : v) {
+            if (remap[static_cast<std::size_t>(n)] >= 0)
+                out.push_back(remap[static_cast<std::size_t>(n)]);
+        }
+        return out;
+    };
+    sources = renamed(sources);
+    chain = renamed(chain);
+    ASSERT_EQ(sources.size(), 16u);
+    ASSERT_EQ(chain.size(), 8u);
+    // Sources were handed ords -1, -2, ...: the latest ranks first.
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+        EXPECT_EQ(g.ord(sources[i]),
+                  static_cast<std::int32_t>(sources.size() - 1 - i))
+            << "compact() ranks sources first, in their order";
+    }
+    for (const Node n : chain)
+        EXPECT_GE(g.ord(n), static_cast<std::int32_t>(sources.size()));
+
+    // After the rebase, fresh sources still go in front of everything.
+    const Node late = g.addNode();
+    const Node src = g.addSource();
+    EXPECT_TRUE(g.addEdge(src, late));
+    for (const Node n : chain)
+        EXPECT_TRUE(g.addEdge(src, n));
+    EXPECT_EQ(g.reorders(), chainReorders);
+    for (const Node s : sources)
+        EXPECT_LT(g.ord(src), g.ord(s));
+
+    // The retired chain nodes' bypasses kept the chain's reachability:
+    // closing it end to end is still a cycle.
+    EXPECT_FALSE(g.addEdge(chain.front(), chain.back()));
+    EXPECT_TRUE(g.hasCycle());
+}

@@ -41,9 +41,11 @@ struct Rec
 /**
  * Deterministic clean trace with bounded reuse distance (every read
  * observes a write at most 2 * addrs events old), so a window above
- * that distance retires nodes promptly and never truncates.
+ * that distance retires nodes promptly and never truncates. The
+ * helpers are [[maybe_unused]]: under sanitizers the test body that
+ * calls them compiles out.
  */
-std::vector<Rec>
+[[maybe_unused]] std::vector<Rec>
 cyclicTrace(int threads, int ops, int addrs)
 {
     std::vector<Rec> trace;
@@ -79,7 +81,7 @@ cyclicTrace(int threads, int ops, int addrs)
  * here: its verdict strings allocate by design; the soak loop only
  * renders them on the rare dirty stream.)
  */
-bool
+[[maybe_unused]] bool
 spin(const std::vector<Rec> &trace, mc::ExecWitness &ew,
      mc::StreamingChecker &sc, std::size_t window)
 {

@@ -38,8 +38,12 @@ struct Totals
     std::uint64_t events = 0;
 };
 
-/** Run every test in @p tests once; heap allocations and witness events. */
-Totals
+/**
+ * Run every test in @p tests once; heap allocations and witness events.
+ * The helpers are [[maybe_unused]]: under sanitizers the test bodies
+ * that call them compile out.
+ */
+[[maybe_unused]] Totals
 runAll(host::Workload &workload, const std::vector<gp::Test> &tests)
 {
     Totals t;
@@ -53,7 +57,7 @@ runAll(host::Workload &workload, const std::vector<gp::Test> &tests)
     return t;
 }
 
-void
+[[maybe_unused]] void
 expectFewAllocationsPerEvent(sim::Protocol protocol)
 {
     sim::SystemConfig cfg;
